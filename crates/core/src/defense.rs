@@ -265,9 +265,9 @@ mod tests {
             &mut grads,
             &mut d_user,
         );
-        assert!(grads.items.contains_key(&unpop));
+        assert!(grads.items.contains(unpop));
         assert!(
-            !grads.items.contains_key(&pop),
+            !grads.items.contains(pop),
             "popular local items are not in ∆D_i"
         );
     }

@@ -264,7 +264,7 @@ mod tests {
             let mut u2 = GlobalGradients::new();
             u2.add_item_grad(0, &[0.4, 0.6]);
             let out = agg.aggregate(&[u1, u2]);
-            let g = &out.items[&0];
+            let g = &out.items[0];
             assert_eq!(g.len(), 2, "{k:?}");
             assert!(g.iter().all(|v| v.is_finite()), "{k:?}");
             assert!(!agg.name().is_empty());
@@ -278,13 +278,13 @@ mod tests {
         let agg = DefenseKind::Krum.build_aggregator(0.9, 1.0);
         let mut u = GlobalGradients::new();
         u.add_item_grad(0, &[1.0]);
-        assert!(agg.aggregate(&[u]).items[&0][0].is_finite());
+        assert!(agg.aggregate(&[u]).items[0][0].is_finite());
 
         let sel = DefenseSel::named("krum").with_param("ratio", 0.9f64);
         let inst = sel.build(&DefenseBuildCtx::minimal(0.05, 1.0));
         let mut u = GlobalGradients::new();
         u.add_item_grad(0, &[1.0]);
-        assert!(inst.aggregator.aggregate(&[u]).items[&0][0].is_finite());
+        assert!(inst.aggregator.aggregate(&[u]).items[0][0].is_finite());
     }
 
     #[test]
@@ -345,7 +345,7 @@ mod tests {
             let out = inst.aggregator.aggregate(&[u1, u2]);
             assert_eq!(out.n_items(), 8, "{name}");
             assert!(
-                out.items.values().flatten().all(|v| v.is_finite()),
+                out.items.rows().flatten().all(|v| v.is_finite()),
                 "{name}"
             );
         }
@@ -365,11 +365,11 @@ mod tests {
         let mut u = GlobalGradients::new();
         u.add_item_grad(0, &[3.0, 4.0]);
         let out = clipped.aggregator.aggregate(&[u.clone()]);
-        let norm: f32 = out.items[&0].iter().map(|v| v * v).sum::<f32>().sqrt();
+        let norm: f32 = out.items[0].iter().map(|v| v * v).sum::<f32>().sqrt();
         assert!(norm <= 0.0011, "clipped to the param threshold: {norm}");
         // Without the param, the huge ctx threshold leaves it untouched.
         let loose = DefenseSel::named("norm-bound").build(&ctx);
         let out = loose.aggregator.aggregate(&[u]);
-        assert_eq!(out.items[&0], vec![3.0, 4.0]);
+        assert_eq!(out.items[0], vec![3.0, 4.0]);
     }
 }

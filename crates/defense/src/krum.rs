@@ -18,14 +18,14 @@
 //! the rule (`n ≤ f + 2`).
 //!
 //! All three consume the *same* shared pairwise-distance layer: one
-//! [`frs_federation::upload_distance_matrix`] per round (views + blocked
-//! kernels, see `UploadView`), with [`frs_linalg::DistanceMatrix::krum_scores`]
+//! [`frs_federation::upload_distance_matrix`] per round (per-row self-dots +
+//! blocked kernels over the upload slabs), with [`frs_linalg::DistanceMatrix::krum_scores`]
 //! on top. Bulyan's selection additionally deactivates matrix rows as it
 //! prunes instead of recomputing anything. Every path is bitwise-identical to
 //! the original scalar implementation — the `kernel-parity` CI job and the
 //! golden tests in `tests/krum_parity.rs` pin that.
 
-use frs_federation::{sum_uploads, upload_distance_matrix, Aggregator};
+use frs_federation::{sum_uploads, upload_distance_matrix, Aggregator, UploadRef};
 use frs_linalg::coordinate_trimmed_mean;
 use frs_model::GlobalGradients;
 
@@ -33,7 +33,7 @@ use crate::median::reduce_upload_refs;
 
 /// Krum score per upload as `(upload index, score)` pairs, via the round's
 /// shared distance matrix. `None` when the rule is undefined for `n`.
-fn krum_scores(uploads: &[GlobalGradients], f: usize) -> Option<Vec<(usize, f32)>> {
+fn krum_scores(uploads: &[UploadRef<'_>], f: usize) -> Option<Vec<(usize, f32)>> {
     upload_distance_matrix(uploads).krum_scores(f)
 }
 
@@ -69,13 +69,13 @@ impl Krum {
 }
 
 impl Aggregator for Krum {
-    fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
+    fn aggregate_refs(&self, uploads: &[UploadRef<'_>]) -> GlobalGradients {
         let f = f_of(uploads.len(), self.malicious_ratio);
         match krum_scores(uploads, f) {
             Some(scores) => {
                 // One representative upload stands in for the whole batch;
                 // rescale to sum magnitude (see median.rs for the rationale).
-                let mut chosen = uploads[best_m(&scores, 1)[0]].clone();
+                let mut chosen = uploads[best_m(&scores, 1)[0]].to_owned();
                 chosen.scale(uploads.len() as f32);
                 chosen
             }
@@ -107,7 +107,7 @@ impl MultiKrum {
 }
 
 impl MultiKrum {
-    fn select<'a>(&self, uploads: &'a [GlobalGradients]) -> Option<Vec<&'a GlobalGradients>> {
+    fn select<'a>(&self, uploads: &[UploadRef<'a>]) -> Option<Vec<UploadRef<'a>>> {
         let n = uploads.len();
         let f = f_of(n, self.malicious_ratio);
         let scores = krum_scores(uploads, f)?;
@@ -115,24 +115,16 @@ impl MultiKrum {
         Some(
             best_m(&scores, m)
                 .into_iter()
-                .map(|i| &uploads[i])
+                .map(|i| uploads[i])
                 .collect(),
         )
     }
 }
 
 impl Aggregator for MultiKrum {
-    fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        match self.select(uploads) {
-            Some(selected) => {
-                let mut out = GlobalGradients::new();
-                for u in selected {
-                    out.axpy(1.0, u);
-                }
-                out
-            }
-            None => sum_uploads(uploads),
-        }
+    fn aggregate_refs(&self, uploads: &[UploadRef<'_>]) -> GlobalGradients {
+        // Summed in selection (score) order.
+        sum_uploads(&self.select(uploads).unwrap_or_else(|| uploads.to_vec()))
     }
 
     fn name(&self) -> &'static str {
@@ -160,7 +152,7 @@ impl Bulyan {
 }
 
 impl Aggregator for Bulyan {
-    fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
+    fn aggregate_refs(&self, uploads: &[UploadRef<'_>]) -> GlobalGradients {
         let n = uploads.len();
         let f = f_of(n, self.malicious_ratio);
         let mut matrix = upload_distance_matrix(uploads);
@@ -174,7 +166,7 @@ impl Aggregator for Bulyan {
         // masks it out of the shared matrix in O(1) instead of recomputing
         // the surviving submatrix. Over fixed scores this selects exactly
         // the `m` best, in score order.
-        let mut selected: Vec<&GlobalGradients> = Vec::with_capacity(m);
+        let mut selected: Vec<UploadRef<'_>> = Vec::with_capacity(m);
         while selected.len() < m {
             let Some(&(i, _)) = scores
                 .iter()
@@ -184,7 +176,7 @@ impl Aggregator for Bulyan {
                 break;
             };
             matrix.deactivate(i);
-            selected.push(&uploads[i]);
+            selected.push(uploads[i]);
         }
         // Trimmed mean per item over the selected uploads — the trim budget
         // is proportional to the item's uploader count (a global `f` would
@@ -238,9 +230,9 @@ mod tests {
         let uploads = round_uploads();
         let out = Krum::new(0.25).aggregate(&uploads);
         assert!(
-            !out.items.contains_key(&9),
+            !out.items.contains(9),
             "the poison-only item must be filtered: {:?}",
-            out.items.keys()
+            out.items.ids
         );
     }
 
@@ -260,7 +252,7 @@ mod tests {
     fn krum_falls_back_to_sum_for_tiny_rounds() {
         let uploads = vec![upload(&[(0, vec![1.0])]), upload(&[(0, vec![3.0])])];
         let out = Krum::new(0.2).aggregate(&uploads);
-        assert_eq!(out.items[&0], vec![4.0]);
+        assert_eq!(out.items[0], vec![4.0]);
     }
 
     #[test]
@@ -268,15 +260,15 @@ mod tests {
         let uploads = round_uploads();
         let out = MultiKrum::new(0.25).aggregate(&uploads);
         // n=8, f=2 → m=4 central uploads summed; benign items survive.
-        assert!(out.items.contains_key(&0));
-        assert!(out.items.contains_key(&1) || out.items.contains_key(&2));
+        assert!(out.items.contains(0));
+        assert!(out.items.contains(1) || out.items.contains(2));
     }
 
     #[test]
     fn bulyan_filters_large_poison() {
         let uploads = round_uploads();
         let out = Bulyan::new(0.25).aggregate(&uploads);
-        if let Some(g) = out.items.get(&9) {
+        if let Some(g) = out.items.get(9) {
             assert!(frs_linalg::l2_norm(g) < 1.0, "poison attenuated: {g:?}");
         }
     }

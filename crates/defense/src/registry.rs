@@ -107,10 +107,9 @@ impl DefenseBuildCtx {
 
 // ---------------------------------------------------------------- instance
 
-/// Builds one fresh [`LocalRegularizer`] per benign client (argument: the
-/// client/user id). Each client must get its own instance — regularizers
-/// keep per-client mining state.
-pub type RegularizerFactory = Box<dyn Fn(usize) -> Box<dyn LocalRegularizer> + Send + Sync>;
+/// Builds one fresh regularizer per benign client — the federation's own
+/// type, so a [`DefenseInstance`] factory plugs straight into the lazy pool.
+pub use frs_federation::RegularizerFactory;
 
 /// A fully instantiated defense: what [`DefenseFactory::build`] returns and
 /// the harness wires into a simulation.

@@ -14,9 +14,9 @@
 //! ```
 
 use frs_defense::{Bulyan, Krum, MultiKrum};
-use frs_federation::{
-    gather_item_gradients, gather_mlp_gradients, sum_uploads, upload_squared_distance, Aggregator,
-};
+use std::collections::BTreeMap;
+
+use frs_federation::{upload_squared_distance, Aggregator};
 use frs_linalg::coordinate_trimmed_mean;
 use frs_model::{GlobalGradients, MlpGradients};
 
@@ -24,6 +24,30 @@ use frs_model::{GlobalGradients, MlpGradients};
 // Verbatim pre-refactor reference implementation (do not "optimize" this —
 // its entire value is staying exactly what the defenses used to compute).
 // ---------------------------------------------------------------------------
+
+/// The original plain sum: fold the uploads one by one.
+fn sum_uploads(uploads: &[GlobalGradients]) -> GlobalGradients {
+    let mut out = GlobalGradients::new();
+    for upload in uploads {
+        out.axpy(1.0, upload);
+    }
+    out
+}
+
+/// The original per-item grouping: `item → [row of upload 1, …]`.
+fn gather_item_gradients(uploads: &[GlobalGradients]) -> BTreeMap<u32, Vec<&[f32]>> {
+    let mut by_item: BTreeMap<u32, Vec<&[f32]>> = BTreeMap::new();
+    for upload in uploads {
+        for (item, grad) in &upload.items {
+            by_item.entry(item).or_default().push(grad);
+        }
+    }
+    by_item
+}
+
+fn gather_mlp_gradients(uploads: &[GlobalGradients]) -> Vec<&MlpGradients> {
+    uploads.iter().filter_map(|u| u.mlp.as_ref()).collect()
+}
 
 #[allow(clippy::needless_range_loop)] // dist is a symmetric matrix indexed both ways
 fn reference_krum_scores(uploads: &[GlobalGradients], f: usize) -> Option<Vec<f32>> {
@@ -106,7 +130,7 @@ fn reference_bulyan(uploads: &[GlobalGradients], ratio: f64) -> GlobalGradients 
         let mut combined = coordinate_trimmed_mean(&grads, trim);
         let kept = grads.len().saturating_sub(2 * trim).max(1) as f32;
         frs_linalg::scale(&mut combined, kept);
-        out.items.insert(item, combined);
+        out.items.push(item, &combined);
     }
     let mlp_uploads = gather_mlp_gradients(&selected);
     if let Some(first) = mlp_uploads.first() {
@@ -165,8 +189,8 @@ fn seeded_uploads(n: usize, seed: u64, with_mlp: bool) -> Vec<GlobalGradients> {
 }
 
 fn assert_bitwise_eq(live: &GlobalGradients, reference: &GlobalGradients, what: &str) {
-    let keys: Vec<u32> = live.items.keys().copied().collect();
-    let ref_keys: Vec<u32> = reference.items.keys().copied().collect();
+    let keys: Vec<u32> = live.items.ids.clone();
+    let ref_keys: Vec<u32> = reference.items.ids.clone();
     assert_eq!(keys, ref_keys, "{what}: item support differs");
     for (item, grad) in &live.items {
         let bits: Vec<u32> = grad.iter().map(|x| x.to_bits()).collect();
@@ -278,11 +302,11 @@ fn bulyan_single_survivor_prune() {
     // With one survivor the trimmed mean degenerates to that upload's own
     // gradients (trim 0, kept 1): the output support must equal the support
     // of exactly one input upload.
-    let support: Vec<u32> = out.items.keys().copied().collect();
+    let support: Vec<u32> = out.items.ids.clone();
     assert!(
         uploads
             .iter()
-            .any(|u| u.items.keys().copied().collect::<Vec<u32>>() == support),
+            .any(|u| u.items.ids.clone() == support),
         "single-survivor output support must match one upload"
     );
 }

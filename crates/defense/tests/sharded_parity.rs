@@ -60,8 +60,8 @@ fn assert_bitwise_eq(
     dense: &GlobalGradients,
     what: &str,
 ) -> Result<(), TestCaseError> {
-    let keys: Vec<u32> = sharded.items.keys().copied().collect();
-    let dense_keys: Vec<u32> = dense.items.keys().copied().collect();
+    let keys: Vec<u32> = sharded.items.ids.clone();
+    let dense_keys: Vec<u32> = dense.items.ids.clone();
     prop_assert!(
         keys == dense_keys,
         "{what}: item support differs: {keys:?} vs {dense_keys:?}"
@@ -160,13 +160,13 @@ fn sharded_krum_is_well_formed() {
     }
     let input_support: std::collections::BTreeSet<u32> = uploads
         .iter()
-        .flat_map(|u| u.items.keys().copied())
+        .flat_map(|u| u.items.ids.iter().copied())
         .collect();
     let out = ShardedAggregator::new(Box::new(Krum::new(0.25)), 4).aggregate(&uploads);
     assert!(!out.items.is_empty());
     for (item, grad) in &out.items {
         assert!(
-            input_support.contains(item),
+            input_support.contains(&item),
             "item {item} not in any upload"
         );
         assert!(grad.iter().all(|v| v.is_finite()));

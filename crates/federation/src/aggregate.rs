@@ -10,19 +10,27 @@
 //! in deterministic (client-id) order, and returns the single combined
 //! gradient set the update applies. Defenses differ in granularity: some
 //! filter whole uploads (Krum, NormBound), some reduce coordinate-wise per
-//! item ([`gather_item_gradients`] is the helper for those).
+//! item ([`gather_item_rows`] is the helper for those).
+//!
+//! Rules read every upload through an [`UploadRef`]: the rows come straight
+//! out of the upload's flat [`SparseRows`] slab, and an item shard of a
+//! [`ShardedAggregator`] is a list of row positions, not a copy.
 
-use std::collections::BTreeMap;
-
-use frs_linalg::DistanceMatrix;
-use frs_model::{GlobalGradients, MlpGradients};
+use frs_linalg::{vector, DistanceMatrix};
+use frs_model::{GlobalGradients, MlpGradients, SparseRows};
 
 /// Pluggable aggregation rule over one round's uploads.
 pub trait Aggregator: Send + Sync {
     /// Combines all uploads of a round into the applied update. `uploads` may
     /// be empty (no client produced gradients), in which case the result
     /// should be empty too.
-    fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients;
+    fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
+        self.aggregate_refs(&upload_refs(uploads))
+    }
+
+    /// The rule itself, over borrowed uploads: whole ones, or the row
+    /// subsets one shard of a [`ShardedAggregator`] owns.
+    fn aggregate_refs(&self, uploads: &[UploadRef<'_>]) -> GlobalGradients;
 
     /// Display name for experiment tables.
     fn name(&self) -> &'static str;
@@ -49,12 +57,113 @@ pub trait Aggregator: Send + Sync {
     }
 }
 
+/// One client upload as an aggregation rule reads it: all of a
+/// [`GlobalGradients`], or the subset of its item rows one shard owns, plus
+/// (optionally) its MLP part. Rows are borrowed from the upload's slab.
+#[derive(Debug, Clone, Copy)]
+pub struct UploadRef<'a> {
+    items: &'a SparseRows,
+    /// Positions of the selected rows in `items`, ascending; `None` selects
+    /// every row.
+    rows: Option<&'a [u32]>,
+    mlp: Option<&'a MlpGradients>,
+    dim: usize,
+}
+
+impl<'a> UploadRef<'a> {
+    /// The whole upload.
+    pub fn new(upload: &'a GlobalGradients) -> Self {
+        UploadRef {
+            items: &upload.items,
+            rows: None,
+            mlp: upload.mlp.as_ref(),
+            dim: upload.items.dim(),
+        }
+    }
+
+    /// The rows at `positions` (ascending positions in this upload's slab),
+    /// without the MLP part.
+    fn restrict(&self, positions: &'a [u32]) -> Self {
+        UploadRef {
+            rows: Some(positions),
+            mlp: None,
+            ..*self
+        }
+    }
+
+    /// Number of item rows.
+    pub fn len(&self) -> usize {
+        self.rows.map_or(self.items.len(), <[u32]>::len)
+    }
+
+    /// True when there are no item rows (the MLP part may still be present).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Slab position of the `k`-th selected row.
+    fn pos(&self, k: usize) -> usize {
+        self.rows.map_or(k, |p| p[k] as usize)
+    }
+
+    /// Item id of the `k`-th row (ids ascend with `k`).
+    pub fn id(&self, k: usize) -> u32 {
+        self.items.ids[self.pos(k)]
+    }
+
+    /// Gradient of the `k`-th row.
+    pub fn row(&self, k: usize) -> &'a [f32] {
+        let p = self.pos(k);
+        &self.items.vals[p * self.dim..(p + 1) * self.dim]
+    }
+
+    /// `(id, row)` pairs in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &'a [f32])> + '_ {
+        (0..self.len()).map(|k| (self.id(k), self.row(k)))
+    }
+
+    /// The MLP part, when this reference carries one.
+    pub fn mlp(&self) -> Option<&'a MlpGradients> {
+        self.mlp
+    }
+
+    /// An owned copy of the referenced rows and MLP part.
+    pub fn to_owned(&self) -> GlobalGradients {
+        let mut out = GlobalGradients::new();
+        out.items.ids.reserve(self.len());
+        out.items.vals.reserve(self.len() * self.dim);
+        for (id, row) in self.iter() {
+            out.items.push(id, row);
+        }
+        out.mlp = self.mlp.cloned();
+        out
+    }
+
+    /// Global L2 norm (item rows + MLP).
+    pub fn norm(&self) -> f32 {
+        let mut sq = 0.0f32;
+        for (_, grad) in self.iter() {
+            sq += frs_linalg::dot(grad, grad);
+        }
+        if let Some(mlp) = self.mlp {
+            let n = mlp.l2_norm();
+            sq += n * n;
+        }
+        sq.sqrt()
+    }
+}
+
+/// Whole-upload references for a round, in upload order.
+pub fn upload_refs(uploads: &[GlobalGradients]) -> Vec<UploadRef<'_>> {
+    uploads.iter().map(UploadRef::new).collect()
+}
+
 /// The undefended baseline: plain sum (paper Section III-A step 4).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SumAggregator;
 
 impl Aggregator for SumAggregator {
-    fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
+    fn aggregate_refs(&self, uploads: &[UploadRef<'_>]) -> GlobalGradients {
         sum_uploads(uploads)
     }
 
@@ -67,13 +176,14 @@ impl Aggregator for SumAggregator {
 ///
 /// Uploads are sparse — a client touches only its local items — but
 /// whole-upload rules (the Krum family) still compare rounds in the full
-/// upload space, and coordinate-wise rules walk one big per-item map. At
-/// million-client round widths that is one huge working set. Sharding
+/// upload space, and coordinate-wise rules group every row of the round.
+/// At million-client round widths that is one huge working set. Sharding
 /// splits the item space by `item % shards` and runs the inner rule
-/// independently per shard over only the coordinates that shard touches,
-/// shrinking the per-invocation working set and bounding the distance
-/// matrices; MLP gradients (dense, unsharded by nature) are aggregated in
-/// one extra pass of their own.
+/// independently per shard over only the rows that shard owns (row
+/// positions into each upload's slab — no row is copied), shrinking the
+/// per-invocation working set and bounding the distance matrices; MLP
+/// gradients (dense, unsharded by nature) are aggregated in one extra pass
+/// of their own.
 ///
 /// Determinism and parity (pinned by `sharded_parity` in the CI
 /// `kernel-parity` job):
@@ -91,9 +201,10 @@ pub struct ShardedAggregator {
 
 impl ShardedAggregator {
     /// Wraps `inner`, splitting the item space into `shards` residue
-    /// classes. `shards` must be ≥ 1.
+    /// classes. `shards` must be in `1..=u32::MAX`.
     pub fn new(inner: Box<dyn Aggregator>, shards: usize) -> Self {
         assert!(shards >= 1, "shards must be ≥ 1");
+        assert!(u32::try_from(shards).is_ok(), "shards must fit the u32 item space");
         Self { inner, shards }
     }
 
@@ -104,49 +215,60 @@ impl ShardedAggregator {
 }
 
 impl Aggregator for ShardedAggregator {
-    fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
+    fn aggregate_refs(&self, uploads: &[UploadRef<'_>]) -> GlobalGradients {
         if self.shards <= 1 {
-            return self.inner.aggregate(uploads);
+            return self.inner.aggregate_refs(uploads);
         }
-        let mut out = GlobalGradients::new();
-        // Item pass: per shard, present each upload's touched coordinates in
-        // that residue class (uploads with no items there drop out of the
-        // shard entirely). Output supports are disjoint across shards.
-        let mut shard_uploads: Vec<GlobalGradients> = Vec::with_capacity(uploads.len());
-        #[allow(clippy::cast_possible_truncation)]
-        // lint:allow(lossy-index-cast): shard counts are small config values (thread-scale, not catalog-scale)
-        for s in 0..self.shards as u32 {
-            shard_uploads.clear();
-            for upload in uploads {
-                let items: BTreeMap<u32, Vec<f32>> = upload
-                    .items
-                    .iter()
-                    .filter(|(&item, _)| {
-                        #[allow(clippy::cast_possible_truncation)]
-                        let shards = self.shards as u32; // lint:allow(lossy-index-cast): shard counts are small config values
-                        item % shards == s
-                    })
-                    .map(|(&item, grad)| (item, grad.clone()))
-                    .collect();
-                if !items.is_empty() {
-                    shard_uploads.push(GlobalGradients { items, mlp: None });
+        let shards = u32::try_from(self.shards).expect("checked in new");
+        // Item pass: per shard, present each upload's rows in that residue
+        // class (uploads with no rows there drop out of the shard entirely).
+        // Output supports are disjoint across shards.
+        let mut parts: Vec<SparseRows> = Vec::with_capacity(self.shards);
+        let mut positions: Vec<u32> = Vec::new();
+        let mut spans: Vec<(usize, usize, usize)> = Vec::new();
+        for s in 0..shards {
+            positions.clear();
+            spans.clear();
+            for (u, upload) in uploads.iter().enumerate() {
+                let start = positions.len();
+                for k in 0..upload.len() {
+                    if upload.id(k) % shards == s {
+                        let pos = u32::try_from(upload.pos(k)).expect("row positions index u32 ids");
+                        positions.push(pos);
+                    }
+                }
+                if positions.len() > start {
+                    spans.push((u, start, positions.len()));
                 }
             }
-            let combined = self.inner.aggregate(&shard_uploads);
-            out.items.extend(combined.items);
+            let shard_refs: Vec<UploadRef<'_>> = spans
+                .iter()
+                .map(|&(u, a, b)| uploads[u].restrict(&positions[a..b]))
+                .collect();
+            parts.push(self.inner.aggregate_refs(&shard_refs).items);
+        }
+        let mut out = GlobalGradients::new();
+        let mut order: Vec<(u32, usize, usize)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(p, part)| part.ids.iter().enumerate().map(move |(k, &id)| (id, p, k)))
+            .collect();
+        order.sort_unstable();
+        for (id, p, k) in order {
+            out.items.push(id, parts[p].row(k));
         }
         // MLP pass: the dense part aggregates once, over exactly the uploads
         // that carry one.
-        let mlp_uploads: Vec<GlobalGradients> = uploads
+        let mlp_refs: Vec<UploadRef<'_>> = uploads
             .iter()
             .filter(|u| u.mlp.is_some())
-            .map(|u| GlobalGradients {
-                items: BTreeMap::new(),
-                mlp: u.mlp.clone(),
+            .map(|u| UploadRef {
+                rows: Some(&[]),
+                ..*u
             })
             .collect();
-        if !mlp_uploads.is_empty() {
-            out.mlp = self.inner.aggregate(&mlp_uploads).mlp;
+        if !mlp_refs.is_empty() {
+            out.mlp = self.inner.aggregate_refs(&mlp_refs).mlp;
         }
         out
     }
@@ -164,66 +286,141 @@ impl Aggregator for ShardedAggregator {
     }
 }
 
-/// Sums a set of uploads item-wise and MLP-wise.
-pub fn sum_uploads(uploads: &[GlobalGradients]) -> GlobalGradients {
+/// A round's item rows grouped per item: ids ascending, each group's rows in
+/// upload order (the client-id order the server established). The building
+/// block for per-item reductions (sums, Median, TrimmedMean).
+pub struct ItemGroups<'a> {
+    ids: Vec<u32>,
+    /// Group `g` is `rows[bounds[g]..bounds[g + 1]]`.
+    bounds: Vec<usize>,
+    rows: Vec<&'a [f32]>,
+    /// Upload index of every row.
+    owners: Vec<usize>,
+}
+
+impl<'a> ItemGroups<'a> {
+    /// Number of distinct items.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when no upload carried an item row.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Item id of group `g`.
+    pub fn id(&self, g: usize) -> u32 {
+        self.ids[g]
+    }
+
+    /// Rows of group `g`, in upload order.
+    pub fn rows(&self, g: usize) -> &[&'a [f32]] {
+        &self.rows[self.bounds[g]..self.bounds[g + 1]]
+    }
+
+    /// Upload index of each row of group `g`.
+    pub fn owners(&self, g: usize) -> &[usize] {
+        &self.owners[self.bounds[g]..self.bounds[g + 1]]
+    }
+
+    /// Folds every group with `reduce` into one output row per item.
+    pub fn reduce(&self, mut reduce: impl FnMut(usize) -> Vec<f32>) -> SparseRows {
+        let mut out = SparseRows::new();
+        for g in 0..self.len() {
+            out.push(self.id(g), &reduce(g));
+        }
+        out
+    }
+}
+
+/// Groups the item rows of `uploads` per item (see [`ItemGroups`]).
+pub fn gather_item_rows<'a>(uploads: &[UploadRef<'a>]) -> ItemGroups<'a> {
+    let total: usize = uploads.iter().map(UploadRef::len).sum::<usize>();
+    // (id, sequence) keys: sorting them orders rows by item and, within an
+    // item, by sequence — which is upload order.
+    let mut keys: Vec<(u32, u32)> = Vec::with_capacity(total);
+    let mut flat: Vec<(&'a [f32], usize)> = Vec::with_capacity(total);
+    for (u, upload) in uploads.iter().enumerate() {
+        for (id, row) in upload.iter() {
+            let seq = u32::try_from(flat.len()).expect("a round holds < 2^32 item rows");
+            keys.push((id, seq));
+            flat.push((row, u));
+        }
+    }
+    keys.sort_unstable();
+    let mut groups = ItemGroups {
+        ids: Vec::new(),
+        bounds: Vec::new(),
+        rows: Vec::with_capacity(total),
+        owners: Vec::with_capacity(total),
+    };
+    for (id, seq) in keys {
+        if groups.ids.last() != Some(&id) {
+            groups.ids.push(id);
+            groups.bounds.push(groups.rows.len());
+        }
+        let (row, owner) = flat[seq as usize];
+        groups.rows.push(row);
+        groups.owners.push(owner);
+    }
+    groups.bounds.push(groups.rows.len());
+    groups
+}
+
+/// `Σ_u weights[u] · upload_u` over item rows and MLP parts, accumulated per
+/// item in upload order: each item's first row enters as a scaled copy, later
+/// rows add in by `axpy` — the exact float sequence of folding the uploads
+/// one by one with [`GlobalGradients::axpy`].
+pub fn weighted_sum(uploads: &[UploadRef<'_>], weights: &[f32]) -> GlobalGradients {
+    assert_eq!(uploads.len(), weights.len(), "one weight per upload");
+    let groups = gather_item_rows(uploads);
     let mut out = GlobalGradients::new();
-    for upload in uploads {
-        out.axpy(1.0, upload);
+    let mut acc: Vec<f32> = Vec::new();
+    for g in 0..groups.len() {
+        let (rows, owners) = (groups.rows(g), groups.owners(g));
+        acc.clear();
+        acc.extend_from_slice(rows[0]);
+        vector::scale(&mut acc, weights[owners[0]]);
+        for (row, &owner) in rows[1..].iter().zip(&owners[1..]) {
+            vector::axpy(weights[owner], row, &mut acc);
+        }
+        out.items.push(groups.id(g), &acc);
+    }
+    for (upload, &w) in uploads.iter().zip(weights) {
+        if let Some(mlp) = upload.mlp {
+            match &mut out.mlp {
+                Some(m) => m.axpy(w, mlp),
+                None => {
+                    let mut m = mlp.clone();
+                    m.scale(w);
+                    out.mlp = Some(m);
+                }
+            }
+        }
     }
     out
 }
 
-/// Groups uploads per item: `item → [gradient of upload 1, …]`, preserving
-/// the (client-id-sorted) upload order the server established. The building
-/// block for coordinate-wise defenses (Median, TrimmedMean).
-pub fn gather_item_gradients(uploads: &[GlobalGradients]) -> BTreeMap<u32, Vec<&[f32]>> {
-    let mut by_item: BTreeMap<u32, Vec<&[f32]>> = BTreeMap::new();
-    for upload in uploads {
-        for (&item, grad) in &upload.items {
-            by_item.entry(item).or_default().push(grad.as_slice());
-        }
-    }
-    by_item
-}
-
-/// Collects the MLP gradient parts of a round's uploads.
-pub fn gather_mlp_gradients(uploads: &[GlobalGradients]) -> Vec<&MlpGradients> {
-    uploads.iter().filter_map(|u| u.mlp.as_ref()).collect()
-}
-
-/// [`gather_item_gradients`] over a *selection* of uploads by reference —
-/// Bulyan picks a subset of the round and reduces it coordinate-wise without
-/// cloning any upload.
-pub fn gather_item_gradients_refs<'a>(
-    uploads: &[&'a GlobalGradients],
-) -> BTreeMap<u32, Vec<&'a [f32]>> {
-    let mut by_item: BTreeMap<u32, Vec<&'a [f32]>> = BTreeMap::new();
-    for upload in uploads {
-        for (&item, grad) in &upload.items {
-            by_item.entry(item).or_default().push(grad.as_slice());
-        }
-    }
-    by_item
-}
-
-/// [`gather_mlp_gradients`] over a selection of uploads by reference.
-pub fn gather_mlp_gradients_refs<'a>(uploads: &[&'a GlobalGradients]) -> Vec<&'a MlpGradients> {
-    uploads.iter().filter_map(|u| u.mlp.as_ref()).collect()
+/// Sums a set of uploads item-wise and MLP-wise.
+pub fn sum_uploads(uploads: &[UploadRef<'_>]) -> GlobalGradients {
+    weighted_sum(uploads, &vec![1.0; uploads.len()])
 }
 
 /// Squared L2 distance between two *whole uploads*, treating items absent
 /// from one side as zero vectors and including the flattened MLP part.
-/// Krum-family defenses compare uploads in this space.
+/// Krum-family defenses compare uploads in this space. This is the naive
+/// per-pair reference; [`upload_distance_matrix`] is the fast path.
 pub fn upload_squared_distance(a: &GlobalGradients, b: &GlobalGradients) -> f32 {
     let mut total = 0.0f32;
-    for (&item, ga) in &a.items {
-        match b.items.get(&item) {
+    for (item, ga) in a.items.iter() {
+        match b.items.get(item) {
             Some(gb) => total += frs_linalg::squared_l2_distance(ga, gb),
             None => total += frs_linalg::dot(ga, ga),
         }
     }
-    for (&item, gb) in &b.items {
-        if !a.items.contains_key(&item) {
+    for (item, gb) in b.items.iter() {
+        if !a.items.contains(item) {
             total += frs_linalg::dot(gb, gb);
         }
     }
@@ -242,56 +439,38 @@ pub fn upload_squared_distance(a: &GlobalGradients, b: &GlobalGradients) -> f32 
     total
 }
 
-/// Precomputed per-upload state for the shared distance kernel: item ids in
-/// ascending order alongside their gradient slices and self-dots `⟨g,g⟩`, plus
-/// the MLP part flattened once with its own self-dot.
-///
-/// The naive [`upload_squared_distance`] pays, *per pair*, a `BTreeMap` probe
-/// per item, a recomputed self-dot per exclusive item, and a fresh flatten of
-/// each MLP gradient. Building an `UploadView` once per upload moves all of
-/// that out of the O(n²) pairwise phase; what remains per pair is a
-/// sorted-merge scan over two id arrays and the blocked distance kernels.
-pub struct UploadView<'a> {
-    ids: Vec<u32>,
-    grads: Vec<&'a [f32]>,
+/// Per-upload state the pairwise kernel reuses: each row's self-dot `⟨g,g⟩`
+/// and the MLP part flattened once with its own self-dot. Building it once
+/// per upload moves every per-row and per-MLP cost out of the O(n²) pairwise
+/// phase; what remains per pair is a sorted-merge scan over two id lists and
+/// the blocked distance kernels, reading rows straight from the slabs.
+struct Prepared<'a> {
+    upload: UploadRef<'a>,
     self_dots: Vec<f32>,
     mlp_flat: Option<Vec<f32>>,
     mlp_self_dot: f32,
 }
 
-impl<'a> UploadView<'a> {
-    /// Captures `upload`: sorted ids (the `BTreeMap` iteration order),
-    /// gradient slices, per-item self-dots, and the flattened MLP part.
-    pub fn new(upload: &'a GlobalGradients) -> Self {
-        let n = upload.n_items();
-        let mut ids = Vec::with_capacity(n);
-        let mut grads = Vec::with_capacity(n);
-        let mut self_dots = Vec::with_capacity(n);
-        for (&item, grad) in &upload.items {
-            ids.push(item);
-            grads.push(grad.as_slice());
-            self_dots.push(frs_linalg::dot_blocked(grad, grad));
-        }
-        let mlp_flat = upload.mlp.as_ref().map(|m| m.flatten());
+impl<'a> Prepared<'a> {
+    fn new(upload: UploadRef<'a>) -> Self {
+        let self_dots = upload
+            .iter()
+            .map(|(_, g)| frs_linalg::dot_blocked(g, g))
+            .collect();
+        let mlp_flat = upload.mlp.map(MlpGradients::flatten);
         let mlp_self_dot = mlp_flat
             .as_ref()
             .map_or(0.0, |f| frs_linalg::dot_blocked(f, f));
-        UploadView {
-            ids,
-            grads,
+        Prepared {
+            upload,
             self_dots,
             mlp_flat,
             mlp_self_dot,
         }
     }
-
-    /// Item count, matching `GlobalGradients::n_items` of the source upload.
-    pub fn n_items(&self) -> usize {
-        self.ids.len()
-    }
 }
 
-/// [`upload_squared_distance`] over precomputed views.
+/// [`upload_squared_distance`] over prepared uploads.
 ///
 /// Bitwise-identical to the naive function: the accumulation visits `a`'s
 /// items in ascending id order (shared item → blocked squared distance,
@@ -299,25 +478,28 @@ impl<'a> UploadView<'a> {
 /// ascending id order, then the MLP part — exactly the naive order, with each
 /// term produced by a kernel that is itself bitwise-equal to its scalar
 /// reference. The `kernel-parity` CI job pins this with a proptest suite.
-pub fn upload_squared_distance_views(a: &UploadView<'_>, b: &UploadView<'_>) -> f32 {
+fn prepared_squared_distance(a: &Prepared<'_>, b: &Prepared<'_>) -> f32 {
+    let (ua, ub) = (&a.upload, &b.upload);
     let mut total = 0.0f32;
     let mut j = 0usize;
-    for (idx, &id) in a.ids.iter().enumerate() {
-        while j < b.ids.len() && b.ids[j] < id {
+    for idx in 0..ua.len() {
+        let id = ua.id(idx);
+        while j < ub.len() && ub.id(j) < id {
             j += 1;
         }
-        if j < b.ids.len() && b.ids[j] == id {
-            total += frs_linalg::squared_distance_blocked(a.grads[idx], b.grads[j]);
+        if j < ub.len() && ub.id(j) == id {
+            total += frs_linalg::squared_distance_blocked(ua.row(idx), ub.row(j));
         } else {
             total += a.self_dots[idx];
         }
     }
     let mut i = 0usize;
-    for (jdx, &id) in b.ids.iter().enumerate() {
-        while i < a.ids.len() && a.ids[i] < id {
+    for jdx in 0..ub.len() {
+        let id = ub.id(jdx);
+        while i < ua.len() && ua.id(i) < id {
             i += 1;
         }
-        if !(i < a.ids.len() && a.ids[i] == id) {
+        if !(i < ua.len() && ua.id(i) == id) {
             total += b.self_dots[jdx];
         }
     }
@@ -331,27 +513,19 @@ pub fn upload_squared_distance_views(a: &UploadView<'_>, b: &UploadView<'_>) -> 
 }
 
 /// The round's full pairwise-distance matrix in upload-distance space,
-/// computed once through the view-based kernel. Krum, Multi-Krum, and Bulyan
+/// computed once through the prepared kernel. Krum, Multi-Krum, and Bulyan
 /// all consume this one matrix; Bulyan additionally deactivates rows as it
 /// prunes (see [`DistanceMatrix::deactivate`]).
-pub fn upload_distance_matrix(uploads: &[GlobalGradients]) -> DistanceMatrix {
-    let views: Vec<UploadView<'_>> = uploads.iter().map(UploadView::new).collect();
+pub fn upload_distance_matrix(uploads: &[UploadRef<'_>]) -> DistanceMatrix {
+    let prepared: Vec<Prepared<'_>> = uploads.iter().copied().map(Prepared::new).collect();
     DistanceMatrix::from_fn(uploads.len(), |i, j| {
-        upload_squared_distance_views(&views[i], &views[j])
+        prepared_squared_distance(&prepared[i], &prepared[j])
     })
 }
 
 /// Global L2 norm of one upload (items + MLP).
 pub fn upload_norm(upload: &GlobalGradients) -> f32 {
-    let mut sq = 0.0f32;
-    for grad in upload.items.values() {
-        sq += frs_linalg::dot(grad, grad);
-    }
-    if let Some(mlp) = &upload.mlp {
-        let n = mlp.l2_norm();
-        sq += n * n;
-    }
-    sq.sqrt()
+    UploadRef::new(upload).norm()
 }
 
 #[cfg(test)]
@@ -371,8 +545,8 @@ mod tests {
         let u1 = upload(&[(1, vec![1.0, 0.0]), (2, vec![2.0, 2.0])]);
         let u2 = upload(&[(2, vec![-1.0, 1.0])]);
         let out = SumAggregator.aggregate(&[u1, u2]);
-        assert_eq!(out.items[&1], vec![1.0, 0.0]);
-        assert_eq!(out.items[&2], vec![1.0, 3.0]);
+        assert_eq!(out.items[1], [1.0, 0.0]);
+        assert_eq!(out.items[2], [1.0, 3.0]);
         assert!(out.mlp.is_none());
     }
 
@@ -381,10 +555,12 @@ mod tests {
         let u1 = upload(&[(1, vec![1.0]), (2, vec![2.0])]);
         let u2 = upload(&[(2, vec![3.0])]);
         let uploads = vec![u1, u2];
-        let by_item = gather_item_gradients(&uploads);
-        assert_eq!(by_item[&1].len(), 1);
-        assert_eq!(by_item[&2].len(), 2);
-        assert!(!by_item.contains_key(&0));
+        let groups = gather_item_rows(&upload_refs(&uploads));
+        assert_eq!(groups.len(), 2);
+        assert_eq!((groups.id(0), groups.rows(0).len()), (1, 1));
+        assert_eq!((groups.id(1), groups.rows(1).len()), (2, 2));
+        assert_eq!(groups.rows(1), [&[2.0f32][..], &[3.0][..]]);
+        assert_eq!(groups.owners(1), [0, 1]);
     }
 
     #[test]

@@ -363,7 +363,7 @@ mod tests {
         // Every positive must carry a gradient; total items = positives +
         // sampled negatives ≤ 2·|positives|.
         for &j in &positives {
-            assert!(grads.items.contains_key(&j), "positive {j} missing");
+            assert!(grads.items.contains(j), "positive {j} missing");
         }
         assert!(grads.n_items() <= 2 * positives.len());
         assert!(grads.mlp.is_none(), "MF uploads no MLP gradients");

@@ -39,10 +39,9 @@ pub mod stats;
 pub mod wire;
 
 pub use aggregate::{
-    gather_item_gradients, gather_item_gradients_refs, gather_mlp_gradients,
-    gather_mlp_gradients_refs, sum_uploads, upload_distance_matrix, upload_norm,
-    upload_squared_distance, upload_squared_distance_views, Aggregator, ShardedAggregator,
-    SumAggregator, UploadView,
+    gather_item_rows, sum_uploads, upload_distance_matrix, upload_norm, upload_refs,
+    upload_squared_distance, weighted_sum, Aggregator, ItemGroups, ShardedAggregator,
+    SumAggregator, UploadRef,
 };
 pub use budget::{CoreBudget, CoreLease};
 pub use checkpoint::{SimulationCheckpoint, CHECKPOINT_FORMAT_VERSION};
@@ -51,5 +50,5 @@ pub use config::{ClientsPerRound, FederationConfig, RoundThreads};
 pub use context::RoundContext;
 pub use params::{ParamSpec, ParamValue, Params};
 pub use population::{ClientPool, LazyClientPool, RegularizerFactory};
-pub use server::{Simulation, SimulationBuilder};
+pub use server::{sample_clients, Simulation, SimulationBuilder};
 pub use stats::{RoundStats, TrainingStats};

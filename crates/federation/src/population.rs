@@ -32,9 +32,9 @@ use crate::client::{BenignClient, BenignClientState, Client, LocalRegularizer};
 use crate::context::RoundContext;
 use crate::pool;
 
-/// Builds the client-side defense regularizer for a given user id. Same
-/// shape as the defense registry's factory type, so a `DefenseInstance`
-/// factory plugs in directly.
+/// Builds the client-side defense regularizer for a given user id (the
+/// argument). Each client must get its own instance — regularizers keep
+/// per-client mining state. The defense registry re-exports this type.
 pub type RegularizerFactory = Box<dyn Fn(usize) -> Box<dyn LocalRegularizer> + Send + Sync>;
 
 /// The server's view of its client population.

@@ -1,5 +1,6 @@
 //! The federation server and round loop.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use frs_linalg::SeedStream;
@@ -212,18 +213,12 @@ impl Simulation {
     }
 
     /// Samples `clients_per_round` distinct client indices for this round
-    /// (seeded partial Fisher–Yates — byte-stable at any round width).
+    /// (seeded, byte-stable at any round width; see [`sample_clients`]).
     fn sample_round_clients(&self) -> Vec<usize> {
         let n = self.pool.len();
         let k = self.config.clients_per_round.effective(n);
         let mut rng = self.seeds.rng("server-sample", self.round as u64);
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let pick = rng.gen_range(i..n);
-            idx.swap(i, pick);
-        }
-        idx.truncate(k);
-        idx
+        sample_clients(n, k, &mut rng)
     }
 
     /// Executes one communication round (Section III-A steps 1–4).
@@ -253,12 +248,21 @@ impl Simulation {
 
         // Deterministic aggregation order regardless of thread interleaving.
         uploads.sort_unstable_by_key(|(id, _)| *id);
+        let n_selected = uploads.len();
         let n_malicious_selected = self.pool.count_malicious(&selected_sorted);
         let upload_bytes: usize = uploads
             .iter()
             .map(|(_, g)| wire::encoded_size(g))
             .sum::<usize>();
-        let grad_sets: Vec<GlobalGradients> = uploads.into_iter().map(|(_, g)| g).collect();
+        // Every upload is untrusted input: one that would index outside the
+        // catalog, mis-shape a row or the MLP, or carry NaN/∞ is dropped
+        // here, before any aggregation rule or the model sees it.
+        let grad_sets: Vec<GlobalGradients> = uploads
+            .into_iter()
+            .map(|(_, g)| g)
+            .filter(|g| self.model.check_upload(g).is_ok())
+            .collect();
+        let n_rejected = n_selected - grad_sets.len();
 
         let combined = self.aggregator.aggregate(&grad_sets);
         let n_items_updated = combined.n_items();
@@ -267,8 +271,9 @@ impl Simulation {
 
         let stats = RoundStats {
             round: self.round,
-            n_selected: grad_sets.len(),
+            n_selected,
             n_malicious_selected,
+            n_rejected,
             n_items_updated,
             upload_bytes,
             n_threads: width,
@@ -331,6 +336,28 @@ impl Simulation {
         self.stats = ckpt.stats.clone();
         Ok(())
     }
+}
+
+/// Draws `k` distinct indices from `0..n` (all `n` when `k ≥ n`) by a
+/// partial Fisher–Yates shuffle of the identity permutation, in O(k) time
+/// and memory: instead of materializing the `n`-element index vector, the
+/// positions a swap displaced are recorded in a map. The `gen_range(i..n)`
+/// calls are the dense shuffle's, in the same order, so the draw equals
+/// `(0..n).collect()` shuffled for `k` steps and truncated.
+pub fn sample_clients<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
+    let k = k.min(n);
+    // displaced[p] = the index the dense vector would hold at position p,
+    // for every position a swap has touched (others still hold p).
+    let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(k);
+    let mut out = Vec::with_capacity(k);
+    for i in 0..k {
+        let pick = rng.gen_range(i..n);
+        let at_i = displaced.get(&i).copied().unwrap_or(i);
+        out.push(displaced.get(&pick).copied().unwrap_or(pick));
+        // Position i is final; position `pick` now holds what i held.
+        displaced.insert(pick, at_i);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@ pub struct RoundStats {
     pub n_selected: usize,
     /// Of those, how many were attacker-controlled.
     pub n_malicious_selected: usize,
+    /// Uploads the server dropped as malformed before aggregation (item id
+    /// outside the catalog, unsorted ids, mis-shaped rows or MLP, NaN/∞).
+    pub n_rejected: usize,
     /// Distinct items that received gradient uploads.
     pub n_items_updated: usize,
     /// Serialized size of all uploads, in bytes (wire encoding).
@@ -81,6 +84,7 @@ mod tests {
             round: 0,
             n_selected: n_sel,
             n_malicious_selected: n_mal,
+            n_rejected: 0,
             n_items_updated: 10,
             upload_bytes: 100,
             n_threads: 2,

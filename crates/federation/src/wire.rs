@@ -1,11 +1,9 @@
-//! Wire encoding of gradient uploads.
+//! Wire size of gradient uploads.
 //!
-//! The simulator keeps everything in-process, but uploads still pass through
-//! this compact binary encoding so (a) the reported per-round upload volume
-//! (cost analysis, Fig. 6b) reflects what a real deployment would ship, and
-//! (b) the serialization path is exercised and tested like production code.
+//! The simulator keeps everything in-process, so nothing is ever encoded;
+//! but the reported per-round upload volume (cost analysis, Fig. 6b) counts
+//! what a real deployment would ship in this little-endian layout:
 //!
-//! Format (little-endian):
 //! ```text
 //! u32 item_count
 //!   repeated: u32 item_id, u32 dim, dim × f32
@@ -16,77 +14,14 @@
 //!   u32 len, len × f32                                (projection)
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use frs_linalg::Matrix;
-use frs_model::{GlobalGradients, MlpGradients};
+use frs_model::GlobalGradients;
 
-/// Errors from [`decode`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before the advertised payload.
-    Truncated,
-    /// A length field was implausibly large for the remaining buffer.
-    CorruptLength,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "upload truncated"),
-            WireError::CorruptLength => write!(f, "corrupt length field"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Serializes one upload.
-// The u32 length prefixes below are all id-space or dimension counts; the
-// adjacent waivers carry the per-site range proofs.
-#[allow(clippy::cast_possible_truncation)]
-pub fn encode(grads: &GlobalGradients) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_size(grads));
-    buf.put_u32_le(grads.items.len() as u32); // lint:allow(lossy-index-cast): items are keyed by u32 ids, so the count fits the prefix
-    for (&item, grad) in &grads.items {
-        buf.put_u32_le(item);
-        buf.put_u32_le(grad.len() as u32); // lint:allow(lossy-index-cast): gradient length is the embedding dimension, far below u32
-        for &v in grad {
-            buf.put_f32_le(v);
-        }
-    }
-    match &grads.mlp {
-        None => buf.put_u8(0),
-        Some(mlp) => {
-            buf.put_u8(1);
-            buf.put_u32_le(mlp.weights.len() as u32); // lint:allow(lossy-index-cast): MLP layer count is single digits
-            for w in &mlp.weights {
-                buf.put_u32_le(w.rows() as u32); // lint:allow(lossy-index-cast): layer dimensions are config-bounded, far below u32
-                buf.put_u32_le(w.cols() as u32); // lint:allow(lossy-index-cast): layer dimensions are config-bounded, far below u32
-                for &v in w.as_slice() {
-                    buf.put_f32_le(v);
-                }
-            }
-            for b in &mlp.biases {
-                buf.put_u32_le(b.len() as u32); // lint:allow(lossy-index-cast): bias length is a layer dimension, far below u32
-                for &v in b {
-                    buf.put_f32_le(v);
-                }
-            }
-            buf.put_u32_le(mlp.projection.len() as u32); // lint:allow(lossy-index-cast): projection length is the embedding dimension, far below u32
-            for &v in &mlp.projection {
-                buf.put_f32_le(v);
-            }
-        }
-    }
-    buf.freeze()
-}
-
-/// Exact size [`encode`] will produce, without allocating.
+/// Exact byte size of one upload in the layout above, in closed form over
+/// the flat item slab and the MLP shapes.
 pub fn encoded_size(grads: &GlobalGradients) -> usize {
-    let mut size = 4; // item count
-    for grad in grads.items.values() {
-        size += 4 + 4 + 4 * grad.len();
-    }
+    // Item count, then per row its id and dim prefixes; the row values
+    // themselves are the whole slab.
+    let mut size = 4 + 8 * grads.items.ids.len() + 4 * grads.items.vals.len();
     size += 1; // mlp flag
     if let Some(mlp) = &grads.mlp {
         size += 4;
@@ -101,141 +36,38 @@ pub fn encoded_size(grads: &GlobalGradients) -> usize {
     size
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-fn get_f32_vec(buf: &mut impl Buf, len: usize) -> Result<Vec<f32>, WireError> {
-    need(buf, 4 * len)?;
-    Ok((0..len).map(|_| buf.get_f32_le()).collect())
-}
-
-fn get_len(buf: &mut impl Buf) -> Result<usize, WireError> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    // A length that can't possibly fit the remaining buffer is corruption,
-    // not mere truncation.
-    if len > buf.remaining() {
-        return Err(WireError::CorruptLength);
-    }
-    Ok(len)
-}
-
-/// Deserializes an upload produced by [`encode`].
-pub fn decode(mut buf: Bytes) -> Result<GlobalGradients, WireError> {
-    let mut grads = GlobalGradients::new();
-    let n_items = get_len(&mut buf)?;
-    for _ in 0..n_items {
-        need(&buf, 8)?;
-        let item = buf.get_u32_le();
-        let dim = buf.get_u32_le() as usize;
-        if dim * 4 > buf.remaining() {
-            return Err(WireError::CorruptLength);
-        }
-        grads.items.insert(item, get_f32_vec(&mut buf, dim)?);
-    }
-    need(&buf, 1)?;
-    if buf.get_u8() == 1 {
-        let n_layers = get_len(&mut buf)?;
-        let mut weights = Vec::with_capacity(n_layers);
-        for _ in 0..n_layers {
-            need(&buf, 8)?;
-            let rows = buf.get_u32_le() as usize;
-            let cols = buf.get_u32_le() as usize;
-            if rows.saturating_mul(cols).saturating_mul(4) > buf.remaining() {
-                return Err(WireError::CorruptLength);
-            }
-            weights.push(Matrix::from_vec(
-                rows,
-                cols,
-                get_f32_vec(&mut buf, rows * cols)?,
-            ));
-        }
-        let mut biases = Vec::with_capacity(n_layers);
-        for _ in 0..n_layers {
-            let len = get_len(&mut buf)?;
-            biases.push(get_f32_vec(&mut buf, len)?);
-        }
-        let len = get_len(&mut buf)?;
-        let projection = get_f32_vec(&mut buf, len)?;
-        grads.mlp = Some(MlpGradients {
-            weights,
-            biases,
-            projection,
-        });
-    }
-    Ok(grads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frs_model::MlpGradients;
 
-    fn sample_upload(with_mlp: bool) -> GlobalGradients {
+    #[test]
+    fn mf_upload_size_is_hand_counted() {
+        // Two items of dim 3: 4 (count) + 2 × (4 id + 4 dim + 12 values)
+        // + 1 (no-MLP flag) = 45 bytes.
         let mut g = GlobalGradients::new();
         g.add_item_grad(3, &[1.0, -2.5, 0.125]);
         g.add_item_grad(17, &[0.0, 4.0, -1.0]);
-        if with_mlp {
-            let mut m = MlpGradients::zeros(&[(6, 3), (3, 2)], 2);
-            m.weights[0].row_mut(1)[2] = 0.5;
-            m.biases[0][0] = -0.25;
-            m.projection[1] = 9.0;
-            g.mlp = Some(m);
-        }
-        g
+        assert_eq!(encoded_size(&g), 45);
     }
 
     #[test]
-    fn roundtrip_items_only() {
-        let g = sample_upload(false);
-        assert_eq!(decode(encode(&g)).unwrap(), g);
+    fn ncf_upload_size_is_hand_counted() {
+        // One item of dim 2: 4 + (4 + 4 + 8) + 1 = 21 bytes of item part and
+        // flag. MLP layers (6→3) and (3→2), projection 2:
+        //   4 (layer count)
+        //   + (8 + 4·3·6) + (8 + 4·2·3)   weights: 80 + 32
+        //   + (4 + 4·3) + (4 + 4·2)       biases: 16 + 12
+        //   + (4 + 4·2)                   projection: 12
+        // = 156 bytes, 177 in all.
+        let mut g = GlobalGradients::new();
+        g.add_item_grad(5, &[0.5, -0.5]);
+        g.mlp = Some(MlpGradients::zeros(&[(6, 3), (3, 2)], 2));
+        assert_eq!(encoded_size(&g), 177);
     }
 
     #[test]
-    fn roundtrip_with_mlp() {
-        let g = sample_upload(true);
-        assert_eq!(decode(encode(&g)).unwrap(), g);
-    }
-
-    #[test]
-    fn roundtrip_empty() {
-        let g = GlobalGradients::new();
-        assert_eq!(decode(encode(&g)).unwrap(), g);
-    }
-
-    #[test]
-    fn encoded_size_is_exact() {
-        for with_mlp in [false, true] {
-            let g = sample_upload(with_mlp);
-            assert_eq!(encode(&g).len(), encoded_size(&g), "mlp={with_mlp}");
-        }
-    }
-
-    #[test]
-    fn truncated_buffer_rejected() {
-        let g = sample_upload(true);
-        let full = encode(&g);
-        for cut in [0usize, 3, 10, full.len() - 1] {
-            let partial = full.slice(..cut);
-            assert!(decode(partial).is_err(), "cut at {cut} should fail");
-        }
-    }
-
-    #[test]
-    fn corrupt_length_rejected() {
-        let g = sample_upload(false);
-        let mut raw = BytesMut::from(&encode(&g)[..]);
-        // Blow up the item count field.
-        raw[0] = 0xFF;
-        raw[1] = 0xFF;
-        let err = decode(raw.freeze()).unwrap_err();
-        assert!(matches!(
-            err,
-            WireError::CorruptLength | WireError::Truncated
-        ));
+    fn empty_upload_is_count_and_flag() {
+        assert_eq!(encoded_size(&GlobalGradients::new()), 5);
     }
 }

@@ -174,19 +174,69 @@ impl GlobalModel {
     }
 
     /// Server-side update: `θ ← θ − lr · g` for every uploaded gradient.
+    /// `grads` must pass [`GlobalModel::check_upload`] (aggregates of
+    /// checked uploads do).
     pub fn apply_gradients(&mut self, grads: &GlobalGradients, lr: f32) {
         match self {
             GlobalModel::Mf(m) => {
-                for (&item, g) in &grads.items {
+                for (item, g) in grads.items.iter() {
                     m.apply_item_gradient(item, g, lr);
                 }
             }
             GlobalModel::Ncf(m) => {
-                for (&item, g) in &grads.items {
+                for (item, g) in grads.items.iter() {
                     m.apply_item_gradient(item, g, lr);
                 }
                 if let Some(mlp_grads) = &grads.mlp {
                     m.apply_mlp_gradients(mlp_grads, lr);
+                }
+            }
+        }
+    }
+
+    /// Checks an untrusted client upload against this model: item ids
+    /// strictly ascending and inside the catalog, one `dim`-wide row per
+    /// id, every value finite, and an MLP part exactly when the model has
+    /// an MLP, shaped like it. The server drops uploads that fail.
+    pub fn check_upload(&self, grads: &GlobalGradients) -> Result<(), &'static str> {
+        let items = &grads.items;
+        if !items.ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err("item ids not strictly ascending");
+        }
+        if items
+            .ids
+            .last()
+            .is_some_and(|&id| id as usize >= self.n_items())
+        {
+            return Err("item id outside the catalog");
+        }
+        if items.vals.len() != items.ids.len() * self.dim() {
+            return Err("item rows do not match the embedding dimension");
+        }
+        if !items.vals.iter().all(|v| v.is_finite()) {
+            return Err("non-finite item gradient");
+        }
+        match (self, &grads.mlp) {
+            (GlobalModel::Mf(_), None) => Ok(()),
+            (GlobalModel::Mf(_), Some(_)) => Err("MLP gradients for a model without an MLP"),
+            (GlobalModel::Ncf(_), None) => Ok(()),
+            (GlobalModel::Ncf(m), Some(g)) => {
+                let mlp = m.mlp();
+                let shapes = mlp.shapes();
+                let shaped = g.weights.len() == shapes.len()
+                    && g.biases.len() == shapes.len()
+                    && g.weights.iter().zip(&g.biases).zip(&shapes).all(
+                        |((w, b), &(inputs, outputs))| {
+                            w.rows() == outputs && w.cols() == inputs && b.len() == outputs
+                        },
+                    )
+                    && g.projection.len() == mlp.projection_len();
+                if !shaped {
+                    Err("MLP gradient shape mismatch")
+                } else if !g.flatten().iter().all(|v| v.is_finite()) {
+                    Err("non-finite MLP gradient")
+                } else {
+                    Ok(())
                 }
             }
         }
@@ -358,6 +408,46 @@ mod tests {
                 ModelKind::Mf => assert!(grads.mlp.is_none()),
                 ModelKind::Ncf => assert!(grads.mlp.is_some()),
             }
+        }
+    }
+
+    #[test]
+    fn check_upload_rejects_malformed_uploads() {
+        for m in both_models() {
+            let u = [0.1, 0.1, 0.1, 0.1];
+            let (logit, cache) = m.forward(&u, 2);
+            let mut d_user = vec![0.0; 4];
+            let mut honest = GlobalGradients::new();
+            m.backward(&u, 2, &cache, logit, &mut d_user, &mut honest);
+            assert_eq!(m.check_upload(&honest), Ok(()), "{:?}", m.kind());
+
+            let mut bad = honest.clone();
+            bad.items.ids[0] = m.n_items() as u32;
+            assert!(m.check_upload(&bad).is_err(), "out-of-catalog id");
+
+            let mut bad = honest.clone();
+            bad.items.vals[1] = f32::NAN;
+            assert!(m.check_upload(&bad).is_err(), "NaN row");
+
+            let mut bad = honest.clone();
+            bad.items.vals.pop();
+            assert!(m.check_upload(&bad).is_err(), "short row");
+
+            let mut bad = honest.clone();
+            bad.items.ids.push(1);
+            bad.items.vals.extend_from_slice(&[0.0; 4]);
+            assert!(m.check_upload(&bad).is_err(), "descending ids");
+
+            let mut bad = honest.clone();
+            bad.mlp = match &honest.mlp {
+                None => Some(crate::gradients::MlpGradients::zeros(&[(8, 4)], 4)),
+                Some(g) => {
+                    let mut g = g.clone();
+                    g.projection.push(0.0);
+                    Some(g)
+                }
+            };
+            assert!(m.check_upload(&bad).is_err(), "{:?} MLP shape", m.kind());
         }
     }
 }

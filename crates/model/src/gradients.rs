@@ -3,9 +3,8 @@
 //! A client's upload is sparse over items — only items in its local round
 //! dataset `D_i` (or, for attackers, the target items) carry gradients — plus,
 //! for DL-FRS, dense MLP gradients. [`GlobalGradients`] is both the client
-//! upload format and the server-side accumulator.
-
-use std::collections::BTreeMap;
+//! upload format and the server-side accumulator; its item part is one flat
+//! [`SparseRows`] slab.
 
 use frs_linalg::{vector, Matrix};
 use serde::{Deserialize, Serialize};
@@ -118,14 +117,179 @@ impl MlpGradients {
     }
 }
 
-/// A full gradient upload (or aggregate) for the global model: sparse item
-/// gradients plus optional MLP gradients.
+/// Sparse per-item rows in one CSR-style slab: `ids` strictly ascending,
+/// `vals` holding one `dim`-long row per id back to back
+/// (`vals.len() == ids.len() × dim`).
 ///
-/// Item gradients are keyed in a `BTreeMap` so iteration order — and therefore
-/// server-side aggregation — is deterministic regardless of upload order.
+/// This is the one gradient layout from client to apply: clients accumulate
+/// into it, aggregation rules read rows straight out of the slab, and the
+/// model update walks it. Ascending ids make iteration — and therefore
+/// server-side aggregation — deterministic regardless of upload order. The
+/// fields are public because an upload is untrusted input: the server
+/// re-checks the invariants before aggregating (`GlobalModel::check_upload`).
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct SparseRows {
+    pub ids: Vec<u32>,
+    pub vals: Vec<f32>,
+}
+
+impl SparseRows {
+    /// No rows.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Row width (0 when there are no rows).
+    pub fn dim(&self) -> usize {
+        self.vals.len().checked_div(self.ids.len()).unwrap_or(0)
+    }
+
+    /// The `k`-th row (in ascending id order).
+    pub fn row(&self, k: usize) -> &[f32] {
+        let dim = self.dim();
+        &self.vals[k * dim..(k + 1) * dim]
+    }
+
+    /// The row stored for item `id`, if any.
+    pub fn get(&self, id: u32) -> Option<&[f32]> {
+        self.ids.binary_search(&id).ok().map(|k| self.row(k))
+    }
+
+    /// Whether item `id` has a row.
+    pub fn contains(&self, id: u32) -> bool {
+        self.ids.binary_search(&id).is_ok()
+    }
+
+    /// The rows in ascending id order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, f32> {
+        self.vals.chunks_exact(self.dim().max(1))
+    }
+
+    /// `(id, row)` pairs in ascending id order.
+    pub fn iter(&self) -> SparseRowsIter<'_> {
+        self.ids.iter().copied().zip(self.rows())
+    }
+
+    /// Appends a row for an id above every stored one.
+    pub fn push(&mut self, id: u32, row: &[f32]) {
+        assert!(
+            self.ids.last().map_or(true, |&last| id > last),
+            "SparseRows::push ids must ascend"
+        );
+        assert!(self.is_empty() || row.len() == self.dim(), "row width");
+        self.ids.push(id);
+        self.vals.extend_from_slice(row);
+    }
+
+    /// Accumulates `row` into item `id`'s slot, inserting it when absent.
+    /// Repeated adds to one id sum in call order.
+    pub fn add(&mut self, id: u32, row: &[f32]) {
+        if self.ids.last().map_or(true, |&last| id > last) {
+            return self.push(id, row);
+        }
+        let dim = self.dim();
+        assert_eq!(row.len(), dim, "row width");
+        match self.ids.binary_search(&id) {
+            Ok(k) => vector::add_assign(&mut self.vals[k * dim..(k + 1) * dim], row),
+            Err(k) => {
+                self.ids.insert(k, id);
+                self.vals.splice(k * dim..k * dim, row.iter().copied());
+            }
+        }
+    }
+
+    /// `self += alpha * other`: shared ids accumulate, ids only in `other`
+    /// enter as `alpha`-scaled copies.
+    pub fn axpy(&mut self, alpha: f32, other: &SparseRows) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            *self = other.clone();
+            vector::scale(&mut self.vals, alpha);
+            return;
+        }
+        *self = self.merged(alpha, other);
+    }
+
+    /// The sorted merge behind [`SparseRows::axpy`].
+    fn merged(&self, alpha: f32, other: &SparseRows) -> SparseRows {
+        let mut out = SparseRows {
+            ids: Vec::with_capacity(self.len() + other.len()),
+            vals: Vec::with_capacity(self.vals.len() + other.vals.len()),
+        };
+        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
+        loop {
+            let take_a = match (a.peek(), b.peek()) {
+                (None, None) => break,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some(&(ia, _)), Some(&(ib, _))) => ia <= ib,
+            };
+            if take_a {
+                let (id, row) = a.next().expect("peeked");
+                out.push(id, row);
+                if let Some(&(ib, x)) = b.peek() {
+                    if ib == id {
+                        let n = out.vals.len();
+                        vector::axpy(alpha, x, &mut out.vals[n - row.len()..]);
+                        b.next();
+                    }
+                }
+            } else {
+                let (id, x) = b.next().expect("peeked");
+                out.push(id, x);
+                let n = out.vals.len();
+                vector::scale(&mut out.vals[n - x.len()..], alpha);
+            }
+        }
+        out
+    }
+
+    /// Multiplies every row by `alpha`.
+    pub fn scale(&mut self, alpha: f32) {
+        vector::scale(&mut self.vals, alpha);
+    }
+}
+
+/// Iterator over `(id, row)` pairs of a [`SparseRows`].
+pub type SparseRowsIter<'a> =
+    std::iter::Zip<std::iter::Copied<std::slice::Iter<'a, u32>>, std::slice::ChunksExact<'a, f32>>;
+
+impl<'a> IntoIterator for &'a SparseRows {
+    type Item = (u32, &'a [f32]);
+    type IntoIter = SparseRowsIter<'a>;
+
+    fn into_iter(self) -> SparseRowsIter<'a> {
+        self.iter()
+    }
+}
+
+impl std::ops::Index<u32> for SparseRows {
+    type Output = [f32];
+
+    /// The row for item `id`; panics when absent.
+    fn index(&self, id: u32) -> &[f32] {
+        self.get(id)
+            .unwrap_or_else(|| panic!("no row for item {id}"))
+    }
+}
+
+/// A full gradient upload (or aggregate) for the global model: sparse item
+/// rows plus optional MLP gradients.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct GlobalGradients {
-    pub items: BTreeMap<u32, Vec<f32>>,
+    pub items: SparseRows,
     pub mlp: Option<MlpGradients>,
 }
 
@@ -137,26 +301,12 @@ impl GlobalGradients {
 
     /// Accumulates `grad` into item `j`'s slot.
     pub fn add_item_grad(&mut self, item: u32, grad: &[f32]) {
-        match self.items.get_mut(&item) {
-            Some(acc) => vector::add_assign(acc, grad),
-            None => {
-                self.items.insert(item, grad.to_vec());
-            }
-        }
+        self.items.add(item, grad);
     }
 
     /// `self += alpha * other` over both item and MLP parts.
     pub fn axpy(&mut self, alpha: f32, other: &GlobalGradients) {
-        for (&item, grad) in &other.items {
-            match self.items.get_mut(&item) {
-                Some(acc) => vector::axpy(alpha, grad, acc),
-                None => {
-                    let mut g = grad.clone();
-                    vector::scale(&mut g, alpha);
-                    self.items.insert(item, g);
-                }
-            }
-        }
+        self.items.axpy(alpha, &other.items);
         if let Some(omlp) = &other.mlp {
             match &mut self.mlp {
                 Some(m) => m.axpy(alpha, omlp),
@@ -171,9 +321,7 @@ impl GlobalGradients {
 
     /// Multiplies everything by `alpha`.
     pub fn scale(&mut self, alpha: f32) {
-        for grad in self.items.values_mut() {
-            vector::scale(grad, alpha);
-        }
+        self.items.scale(alpha);
         if let Some(m) = &mut self.mlp {
             m.scale(alpha);
         }
@@ -260,8 +408,10 @@ mod tests {
         g.add_item_grad(5, &[1.0, 2.0]);
         g.add_item_grad(5, &[0.5, 0.5]);
         g.add_item_grad(2, &[1.0, 0.0]);
-        assert_eq!(g.items[&5], vec![1.5, 2.5]);
+        assert_eq!(g.items[5], [1.5, 2.5]);
         assert_eq!(g.n_items(), 2);
+        assert_eq!(g.items.ids, vec![2, 5]);
+        assert_eq!(g.items.vals, vec![1.0, 0.0, 1.5, 2.5]);
     }
 
     #[test]
@@ -271,8 +421,8 @@ mod tests {
         let mut b = GlobalGradients::new();
         b.add_item_grad(2, &[3.0]);
         a.axpy(2.0, &b);
-        assert_eq!(a.items[&1], vec![1.0]);
-        assert_eq!(a.items[&2], vec![6.0]);
+        assert_eq!(a.items[1], [1.0]);
+        assert_eq!(a.items[2], [6.0]);
     }
 
     #[test]
@@ -281,8 +431,44 @@ mod tests {
         g.add_item_grad(9, &[0.0]);
         g.add_item_grad(3, &[0.0]);
         g.add_item_grad(7, &[0.0]);
-        let keys: Vec<u32> = g.items.keys().copied().collect();
-        assert_eq!(keys, vec![3, 7, 9]);
+        assert_eq!(g.items.ids, vec![3, 7, 9]);
+    }
+
+    #[test]
+    fn out_of_order_adds_keep_the_slab_sorted() {
+        let mut rows = SparseRows::new();
+        for (id, v) in [(7u32, 1.0f32), (2, 2.0), (9, 3.0), (2, 0.5), (4, 4.0), (7, -1.0)] {
+            rows.add(id, &[v, -v]);
+        }
+        assert_eq!(rows.ids, vec![2, 4, 7, 9]);
+        assert_eq!(rows.vals, vec![2.5, -2.5, 4.0, -4.0, 0.0, 0.0, 3.0, -3.0]);
+        assert_eq!(rows.dim(), 2);
+        assert_eq!(rows.get(4), Some(&[4.0, -4.0][..]));
+        assert!(rows.get(5).is_none() && !rows.contains(5) && rows.contains(9));
+        let pairs: Vec<(u32, Vec<f32>)> = rows.iter().map(|(id, r)| (id, r.to_vec())).collect();
+        assert_eq!(pairs[3], (9, vec![3.0, -3.0]));
+    }
+
+    #[test]
+    fn sparse_axpy_matches_rowwise_semantics() {
+        let mut a = SparseRows::new();
+        a.push(1, &[1.0, 1.0]);
+        a.push(4, &[2.0, 2.0]);
+        let mut b = SparseRows::new();
+        b.push(0, &[1.0, 3.0]);
+        b.push(4, &[1.0, -1.0]);
+        b.push(8, &[0.5, 0.5]);
+        a.axpy(2.0, &b);
+        assert_eq!(a.ids, vec![0, 1, 4, 8]);
+        assert_eq!(a.vals, vec![2.0, 6.0, 1.0, 1.0, 4.0, 0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend")]
+    fn push_rejects_descending_ids() {
+        let mut rows = SparseRows::new();
+        rows.push(3, &[1.0]);
+        rows.push(3, &[1.0]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod store;
 
 pub use config::{ModelConfig, ModelKind};
 pub use global::{ForwardCache, GlobalModel};
-pub use gradients::{GlobalGradients, MlpGradients};
+pub use gradients::{GlobalGradients, MlpGradients, SparseRows};
 pub use loss::{bce_logit_delta, bce_loss, bpr_logit_deltas, bpr_loss, LossKind};
 pub use mlp::{BatchScorer, Mlp};
 pub use store::{EmbeddingStore, UserEmbeddings};

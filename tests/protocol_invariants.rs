@@ -1,5 +1,6 @@
-//! Federation-protocol invariants that span crates: wire codec on real
-//! uploads, thread-count independence, malicious-population accounting.
+//! Federation-protocol invariants that span crates: real uploads pass the
+//! server's upload check, thread-count independence, malicious-population
+//! accounting.
 
 use pieck_frs::attacks::AttackKind;
 use pieck_frs::data::{synth, DatasetSpec};
@@ -13,7 +14,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 #[test]
-fn real_client_uploads_survive_wire_roundtrip() {
+fn real_client_uploads_pass_the_upload_check() {
     let mut rng = StdRng::seed_from_u64(1);
     let data = Arc::new(synth::generate(&DatasetSpec::tiny(), &mut rng));
     for config in [ModelConfig::mf(8), ModelConfig::ncf(8)] {
@@ -21,9 +22,14 @@ fn real_client_uploads_survive_wire_roundtrip() {
         let mut client = BenignClient::new(0, Arc::clone(&data), 8, 0.1, 3);
         let ctx = RoundContext::new(0, 1.0, 1.0, 1, LossKind::Bce, SeedStream::new(4));
         let upload = client.local_round(&ctx, &model);
-        let decoded = wire::decode(wire::encode(&upload)).expect("roundtrip");
-        assert_eq!(upload, decoded, "{:?}", config.kind);
-        assert_eq!(wire::encode(&upload).len(), wire::encoded_size(&upload));
+        assert_eq!(model.check_upload(&upload), Ok(()), "{:?}", config.kind);
+        assert!(!upload.items.is_empty(), "{:?}", config.kind);
+        let body_bytes = wire::encoded_size(&upload) - (4 + 1);
+        let row_bytes = upload.items.len() * (8 + 4 * 8);
+        match config.kind {
+            ModelKind::Mf => assert_eq!(body_bytes, row_bytes),
+            ModelKind::Ncf => assert!(body_bytes > row_bytes),
+        }
     }
 }
 
