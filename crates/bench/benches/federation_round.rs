@@ -3,10 +3,13 @@
 //! out of the embedding arena, sparse local training, and (item-sharded)
 //! robust aggregation, over a 50k-client population at 256 clients/round.
 //! The arena-snapshot bench isolates what evaluation pays to flatten the
-//! pool's user embeddings.
+//! pool's user embeddings, and the sampling bench the per-round client draw
+//! at the million-client scale cell's width.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use frs_bench::bench_sampled_simulation;
+use frs_federation::sample_clients;
+use frs_linalg::SeedStream;
 
 fn sampled_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("round");
@@ -23,6 +26,18 @@ fn sampled_rounds(c: &mut Criterion) {
 
     group.bench_function("sampled_snapshot_50k", |b| {
         b.iter(|| black_box(sim.user_embeddings()));
+    });
+
+    // The sampling phase alone: 1024 of 1,000,000 registered clients, one
+    // fresh per-round RNG per draw as the server makes it.
+    let seeds = SeedStream::new(7);
+    let mut round = 0u64;
+    group.bench_function("sample_1m", |b| {
+        b.iter(|| {
+            round += 1;
+            let mut rng = seeds.rng("server-sample", round);
+            black_box(sample_clients(1_000_000, 1024, &mut rng))
+        });
     });
     group.finish();
 }

@@ -344,10 +344,7 @@ mod tests {
             }
             let out = inst.aggregator.aggregate(&[u1, u2]);
             assert_eq!(out.n_items(), 8, "{name}");
-            assert!(
-                out.items.rows().flatten().all(|v| v.is_finite()),
-                "{name}"
-            );
+            assert!(out.items.rows().flatten().all(|v| v.is_finite()), "{name}");
         }
         // NoDefense/NormBound/Ours do not take the param.
         let typo = DefenseSel::named("none").with_param("shards", 2usize);

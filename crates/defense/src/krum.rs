@@ -112,12 +112,7 @@ impl MultiKrum {
         let f = f_of(n, self.malicious_ratio);
         let scores = krum_scores(uploads, f)?;
         let m = n.saturating_sub(2 * f).max(1);
-        Some(
-            best_m(&scores, m)
-                .into_iter()
-                .map(|i| uploads[i])
-                .collect(),
-        )
+        Some(best_m(&scores, m).into_iter().map(|i| uploads[i]).collect())
     }
 }
 

@@ -304,9 +304,7 @@ fn bulyan_single_survivor_prune() {
     // of exactly one input upload.
     let support: Vec<u32> = out.items.ids.clone();
     assert!(
-        uploads
-            .iter()
-            .any(|u| u.items.ids.clone() == support),
+        uploads.iter().any(|u| u.items.ids.clone() == support),
         "single-survivor output support must match one upload"
     );
 }

@@ -204,7 +204,10 @@ impl ShardedAggregator {
     /// classes. `shards` must be in `1..=u32::MAX`.
     pub fn new(inner: Box<dyn Aggregator>, shards: usize) -> Self {
         assert!(shards >= 1, "shards must be ≥ 1");
-        assert!(u32::try_from(shards).is_ok(), "shards must fit the u32 item space");
+        assert!(
+            u32::try_from(shards).is_ok(),
+            "shards must fit the u32 item space"
+        );
         Self { inner, shards }
     }
 
@@ -233,7 +236,8 @@ impl Aggregator for ShardedAggregator {
                 let start = positions.len();
                 for k in 0..upload.len() {
                     if upload.id(k) % shards == s {
-                        let pos = u32::try_from(upload.pos(k)).expect("row positions index u32 ids");
+                        let pos =
+                            u32::try_from(upload.pos(k)).expect("row positions index u32 ids");
                         positions.push(pos);
                     }
                 }

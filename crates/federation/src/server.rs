@@ -654,6 +654,79 @@ mod tests {
         }
     }
 
+    /// An attacker that uploads the same hand-crafted gradients every round.
+    struct CraftedClient {
+        id: usize,
+        upload: GlobalGradients,
+    }
+
+    impl Client for CraftedClient {
+        fn id(&self) -> usize {
+            self.id
+        }
+
+        fn is_malicious(&self) -> bool {
+            true
+        }
+
+        fn local_round(&mut self, _ctx: &RoundContext, _model: &GlobalModel) -> GlobalGradients {
+            self.upload.clone()
+        }
+    }
+
+    #[test]
+    fn malformed_uploads_are_rejected_not_applied() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let full = synth::generate(&DatasetSpec::tiny(), &mut rng);
+        let train = Arc::new(full);
+        let (n_users, n_items) = (train.n_users(), train.n_items());
+        let n_items_u32 = u32::try_from(n_items).unwrap();
+        let mut past_catalog = GlobalGradients::new();
+        past_catalog.add_item_grad(n_items_u32, &[1.0; 4]);
+        let mut nan_row = GlobalGradients::new();
+        nan_row.add_item_grad(0, &[f32::NAN, 0.0, 0.0, 0.0]);
+        let mut unsorted = GlobalGradients::new();
+        unsorted.items.ids = vec![3, 1];
+        unsorted.items.vals = vec![0.5; 8];
+        let uploads = [past_catalog, nan_row, unsorted];
+        let crafted = || -> Vec<Box<dyn Client>> {
+            uploads
+                .iter()
+                .enumerate()
+                .map(|(i, upload)| {
+                    Box::new(CraftedClient {
+                        id: n_users + i,
+                        upload: upload.clone(),
+                    }) as Box<dyn Client>
+                })
+                .collect()
+        };
+        for shards in [1usize, 4] {
+            let model = GlobalModel::new(&ModelConfig::mf(4), n_items, &mut rng);
+            let mut sim = Simulation::builder(model)
+                .pool(lazy_pool(n_users, &train, 4, 14, crafted()))
+                .aggregator(Box::new(crate::ShardedAggregator::new(
+                    Box::new(SumAggregator),
+                    shards,
+                )))
+                .config(FederationConfig {
+                    clients_per_round: ClientsPerRound::Fraction(1.0),
+                    seed: 14,
+                    ..FederationConfig::default()
+                })
+                .build();
+            for _ in 0..3 {
+                let stats = sim.run_round();
+                assert_eq!(stats.n_selected, n_users + 3);
+                assert_eq!(stats.n_malicious_selected, 3);
+                assert_eq!(stats.n_rejected, 3, "shards={shards}");
+                assert!(stats.n_items_updated > 0);
+            }
+            let items = sim.model().items().as_slice();
+            assert!(items.iter().all(|v| v.is_finite()), "shards={shards}");
+        }
+    }
+
     #[test]
     fn builder_defaults_and_incremental_clients() {
         let mut rng = StdRng::seed_from_u64(11);

@@ -42,28 +42,25 @@ mod tests {
     use frs_model::MlpGradients;
 
     #[test]
-    fn mf_upload_size_is_hand_counted() {
-        // Two items of dim 3: 4 (count) + 2 × (4 id + 4 dim + 12 values)
-        // + 1 (no-MLP flag) = 45 bytes.
-        let mut g = GlobalGradients::new();
-        g.add_item_grad(3, &[1.0, -2.5, 0.125]);
-        g.add_item_grad(17, &[0.0, 4.0, -1.0]);
-        assert_eq!(encoded_size(&g), 45);
-    }
+    fn encoded_size_is_exact() {
+        // MF: two items of dim 3 — 4 (count) + 2 × (4 id + 4 dim + 12
+        // values) + 1 (no-MLP flag) = 45 bytes.
+        let mut mf = GlobalGradients::new();
+        mf.add_item_grad(3, &[1.0, -2.5, 0.125]);
+        mf.add_item_grad(17, &[0.0, 4.0, -1.0]);
+        assert_eq!(encoded_size(&mf), 45);
 
-    #[test]
-    fn ncf_upload_size_is_hand_counted() {
-        // One item of dim 2: 4 + (4 + 4 + 8) + 1 = 21 bytes of item part and
-        // flag. MLP layers (6→3) and (3→2), projection 2:
+        // NCF: one item of dim 2 — 4 + (4 + 4 + 8) + 1 = 21 bytes of item
+        // part and flag. MLP layers (6→3) and (3→2), projection 2:
         //   4 (layer count)
         //   + (8 + 4·3·6) + (8 + 4·2·3)   weights: 80 + 32
         //   + (4 + 4·3) + (4 + 4·2)       biases: 16 + 12
         //   + (4 + 4·2)                   projection: 12
         // = 156 bytes, 177 in all.
-        let mut g = GlobalGradients::new();
-        g.add_item_grad(5, &[0.5, -0.5]);
-        g.mlp = Some(MlpGradients::zeros(&[(6, 3), (3, 2)], 2));
-        assert_eq!(encoded_size(&g), 177);
+        let mut ncf = GlobalGradients::new();
+        ncf.add_item_grad(5, &[0.5, -0.5]);
+        ncf.mlp = Some(MlpGradients::zeros(&[(6, 3), (3, 2)], 2));
+        assert_eq!(encoded_size(&ncf), 177);
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl SparseRows {
     /// Appends a row for an id above every stored one.
     pub fn push(&mut self, id: u32, row: &[f32]) {
         assert!(
-            self.ids.last().map_or(true, |&last| id > last),
+            self.ids.last().is_none_or(|&last| id > last),
             "SparseRows::push ids must ascend"
         );
         assert!(self.is_empty() || row.len() == self.dim(), "row width");
@@ -194,7 +194,7 @@ impl SparseRows {
     /// Accumulates `row` into item `id`'s slot, inserting it when absent.
     /// Repeated adds to one id sum in call order.
     pub fn add(&mut self, id: u32, row: &[f32]) {
-        if self.ids.last().map_or(true, |&last| id > last) {
+        if self.ids.last().is_none_or(|&last| id > last) {
             return self.push(id, row);
         }
         let dim = self.dim();
@@ -437,7 +437,14 @@ mod tests {
     #[test]
     fn out_of_order_adds_keep_the_slab_sorted() {
         let mut rows = SparseRows::new();
-        for (id, v) in [(7u32, 1.0f32), (2, 2.0), (9, 3.0), (2, 0.5), (4, 4.0), (7, -1.0)] {
+        for (id, v) in [
+            (7u32, 1.0f32),
+            (2, 2.0),
+            (9, 3.0),
+            (2, 0.5),
+            (4, 4.0),
+            (7, -1.0),
+        ] {
             rows.add(id, &[v, -v]);
         }
         assert_eq!(rows.ids, vec![2, 4, 7, 9]);
