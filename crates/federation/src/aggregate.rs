@@ -443,30 +443,31 @@ pub fn upload_squared_distance(a: &GlobalGradients, b: &GlobalGradients) -> f32 
     total
 }
 
-/// Per-upload state the pairwise kernel reuses: each row's self-dot `⟨g,g⟩`
-/// and the MLP part flattened once with its own self-dot. Building it once
-/// per upload moves every per-row and per-MLP cost out of the O(n²) pairwise
-/// phase; what remains per pair is a sorted-merge scan over two id lists and
-/// the blocked distance kernels, reading rows straight from the slabs.
+/// Per-upload state the pairwise kernel reuses: the selected ids and row
+/// slices laid out contiguously, each row's self-dot `⟨g,g⟩`, and the MLP
+/// part flattened once with its own self-dot. Building it once per upload
+/// moves every per-row and per-MLP cost out of the O(n²) pairwise phase;
+/// what remains per pair is a sorted-merge scan over two id lists and the
+/// blocked distance kernels, reading rows straight from the slabs.
 struct Prepared<'a> {
-    upload: UploadRef<'a>,
+    ids: Vec<u32>,
+    rows: Vec<&'a [f32]>,
     self_dots: Vec<f32>,
     mlp_flat: Option<Vec<f32>>,
     mlp_self_dot: f32,
 }
 
 impl<'a> Prepared<'a> {
-    fn new(upload: UploadRef<'a>) -> Self {
-        let self_dots = upload
-            .iter()
-            .map(|(_, g)| frs_linalg::dot_blocked(g, g))
-            .collect();
+    fn new(upload: &UploadRef<'a>) -> Self {
+        let (ids, rows): (Vec<u32>, Vec<&'a [f32]>) = upload.iter().unzip();
+        let self_dots = rows.iter().map(|g| frs_linalg::dot_blocked(g, g)).collect();
         let mlp_flat = upload.mlp.map(MlpGradients::flatten);
         let mlp_self_dot = mlp_flat
             .as_ref()
             .map_or(0.0, |f| frs_linalg::dot_blocked(f, f));
         Prepared {
-            upload,
+            ids,
+            rows,
             self_dots,
             mlp_flat,
             mlp_self_dot,
@@ -483,27 +484,24 @@ impl<'a> Prepared<'a> {
 /// term produced by a kernel that is itself bitwise-equal to its scalar
 /// reference. The `kernel-parity` CI job pins this with a proptest suite.
 fn prepared_squared_distance(a: &Prepared<'_>, b: &Prepared<'_>) -> f32 {
-    let (ua, ub) = (&a.upload, &b.upload);
     let mut total = 0.0f32;
     let mut j = 0usize;
-    for idx in 0..ua.len() {
-        let id = ua.id(idx);
-        while j < ub.len() && ub.id(j) < id {
+    for (idx, &id) in a.ids.iter().enumerate() {
+        while j < b.ids.len() && b.ids[j] < id {
             j += 1;
         }
-        if j < ub.len() && ub.id(j) == id {
-            total += frs_linalg::squared_distance_blocked(ua.row(idx), ub.row(j));
+        if j < b.ids.len() && b.ids[j] == id {
+            total += frs_linalg::squared_distance_blocked(a.rows[idx], b.rows[j]);
         } else {
             total += a.self_dots[idx];
         }
     }
     let mut i = 0usize;
-    for jdx in 0..ub.len() {
-        let id = ub.id(jdx);
-        while i < ua.len() && ua.id(i) < id {
+    for (jdx, &id) in b.ids.iter().enumerate() {
+        while i < a.ids.len() && a.ids[i] < id {
             i += 1;
         }
-        if !(i < ua.len() && ua.id(i) == id) {
+        if !(i < a.ids.len() && a.ids[i] == id) {
             total += b.self_dots[jdx];
         }
     }
@@ -521,7 +519,7 @@ fn prepared_squared_distance(a: &Prepared<'_>, b: &Prepared<'_>) -> f32 {
 /// all consume this one matrix; Bulyan additionally deactivates rows as it
 /// prunes (see [`DistanceMatrix::deactivate`]).
 pub fn upload_distance_matrix(uploads: &[UploadRef<'_>]) -> DistanceMatrix {
-    let prepared: Vec<Prepared<'_>> = uploads.iter().copied().map(Prepared::new).collect();
+    let prepared: Vec<Prepared<'_>> = uploads.iter().map(Prepared::new).collect();
     DistanceMatrix::from_fn(uploads.len(), |i, j| {
         prepared_squared_distance(&prepared[i], &prepared[j])
     })

@@ -133,6 +133,9 @@ pub struct SparseRows {
     pub vals: Vec<f32>,
 }
 
+/// Rows reserved on a slab's first push (see [`SparseRows::push`]).
+const INITIAL_ROWS: usize = 8;
+
 impl SparseRows {
     /// No rows.
     pub fn new() -> Self {
@@ -186,7 +189,13 @@ impl SparseRows {
             self.ids.last().is_none_or(|&last| id > last),
             "SparseRows::push ids must ascend"
         );
-        assert!(self.is_empty() || row.len() == self.dim(), "row width");
+        self.check_width(row);
+        if self.ids.capacity() == 0 {
+            // A client upload touches a handful of items: start with room
+            // for several rows rather than regrowing on each of the first.
+            self.ids.reserve(INITIAL_ROWS);
+            self.vals.reserve(INITIAL_ROWS * row.len());
+        }
         self.ids.push(id);
         self.vals.extend_from_slice(row);
     }
@@ -197,15 +206,25 @@ impl SparseRows {
         if self.ids.last().is_none_or(|&last| id > last) {
             return self.push(id, row);
         }
-        let dim = self.dim();
-        assert_eq!(row.len(), dim, "row width");
+        self.check_width(row);
+        let dim = row.len();
         match self.ids.binary_search(&id) {
             Ok(k) => vector::add_assign(&mut self.vals[k * dim..(k + 1) * dim], row),
             Err(k) => {
                 self.ids.insert(k, id);
-                self.vals.splice(k * dim..k * dim, row.iter().copied());
+                self.vals.extend_from_slice(row);
+                self.vals[k * dim..].rotate_right(dim);
             }
         }
+    }
+
+    /// Panics unless `row` has the width of the stored rows.
+    fn check_width(&self, row: &[f32]) {
+        assert_eq!(
+            row.len() * self.ids.len(),
+            self.vals.len(),
+            "SparseRows row width"
+        );
     }
 
     /// `self += alpha * other`: shared ids accumulate, ids only in `other`
