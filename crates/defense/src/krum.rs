@@ -75,7 +75,7 @@ impl Aggregator for Krum {
             Some(scores) => {
                 // One representative upload stands in for the whole batch;
                 // rescale to sum magnitude (see median.rs for the rationale).
-                let mut chosen = uploads[best_m(&scores, 1)[0]].to_owned();
+                let mut chosen = uploads[best_m(&scores, 1)[0]].to_gradients();
                 chosen.scale(uploads.len() as f32);
                 chosen
             }

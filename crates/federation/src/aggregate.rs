@@ -128,7 +128,7 @@ impl<'a> UploadRef<'a> {
     }
 
     /// An owned copy of the referenced rows and MLP part.
-    pub fn to_owned(&self) -> GlobalGradients {
+    pub fn to_gradients(&self) -> GlobalGradients {
         let mut out = GlobalGradients::new();
         out.items.ids.reserve(self.len());
         out.items.vals.reserve(self.len() * self.dim);
@@ -375,7 +375,7 @@ pub fn gather_item_rows<'a>(uploads: &[UploadRef<'a>]) -> ItemGroups<'a> {
 /// `Σ_u weights[u] · upload_u` over item rows and MLP parts, accumulated per
 /// item in upload order: each item's first row enters as a scaled copy, later
 /// rows add in by `axpy` — the exact float sequence of folding the uploads
-/// one by one with [`GlobalGradients::axpy`].
+/// one by one with [`GlobalGradients::axpy`], without its per-upload inserts.
 pub fn weighted_sum(uploads: &[UploadRef<'_>], weights: &[f32]) -> GlobalGradients {
     assert_eq!(uploads.len(), weights.len(), "one weight per upload");
     let groups = gather_item_rows(uploads);

@@ -227,54 +227,6 @@ impl SparseRows {
         );
     }
 
-    /// `self += alpha * other`: shared ids accumulate, ids only in `other`
-    /// enter as `alpha`-scaled copies.
-    pub fn axpy(&mut self, alpha: f32, other: &SparseRows) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            vector::scale(&mut self.vals, alpha);
-            return;
-        }
-        *self = self.merged(alpha, other);
-    }
-
-    /// The sorted merge behind [`SparseRows::axpy`].
-    fn merged(&self, alpha: f32, other: &SparseRows) -> SparseRows {
-        let mut out = SparseRows {
-            ids: Vec::with_capacity(self.len() + other.len()),
-            vals: Vec::with_capacity(self.vals.len() + other.vals.len()),
-        };
-        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
-        loop {
-            let take_a = match (a.peek(), b.peek()) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(&(ia, _)), Some(&(ib, _))) => ia <= ib,
-            };
-            if take_a {
-                let (id, row) = a.next().expect("peeked");
-                out.push(id, row);
-                if let Some(&(ib, x)) = b.peek() {
-                    if ib == id {
-                        let n = out.vals.len();
-                        vector::axpy(alpha, x, &mut out.vals[n - row.len()..]);
-                        b.next();
-                    }
-                }
-            } else {
-                let (id, x) = b.next().expect("peeked");
-                out.push(id, x);
-                let n = out.vals.len();
-                vector::scale(&mut out.vals[n - x.len()..], alpha);
-            }
-        }
-        out
-    }
-
     /// Multiplies every row by `alpha`.
     pub fn scale(&mut self, alpha: f32) {
         vector::scale(&mut self.vals, alpha);
@@ -323,9 +275,16 @@ impl GlobalGradients {
         self.items.add(item, grad);
     }
 
-    /// `self += alpha * other` over both item and MLP parts.
+    /// `self += alpha * other` over both item and MLP parts: shared items
+    /// accumulate `alpha · row`, items only in `other` enter as scaled copies.
     pub fn axpy(&mut self, alpha: f32, other: &GlobalGradients) {
-        self.items.axpy(alpha, &other.items);
+        let mut scaled = Vec::new();
+        for (item, grad) in &other.items {
+            scaled.clear();
+            scaled.extend_from_slice(grad);
+            vector::scale(&mut scaled, alpha);
+            self.items.add(item, &scaled);
+        }
         if let Some(omlp) = &other.mlp {
             match &mut self.mlp {
                 Some(m) => m.axpy(alpha, omlp),
@@ -473,20 +432,6 @@ mod tests {
         assert!(rows.get(5).is_none() && !rows.contains(5) && rows.contains(9));
         let pairs: Vec<(u32, Vec<f32>)> = rows.iter().map(|(id, r)| (id, r.to_vec())).collect();
         assert_eq!(pairs[3], (9, vec![3.0, -3.0]));
-    }
-
-    #[test]
-    fn sparse_axpy_matches_rowwise_semantics() {
-        let mut a = SparseRows::new();
-        a.push(1, &[1.0, 1.0]);
-        a.push(4, &[2.0, 2.0]);
-        let mut b = SparseRows::new();
-        b.push(0, &[1.0, 3.0]);
-        b.push(4, &[1.0, -1.0]);
-        b.push(8, &[0.5, 0.5]);
-        a.axpy(2.0, &b);
-        assert_eq!(a.ids, vec![0, 1, 4, 8]);
-        assert_eq!(a.vals, vec![2.0, 6.0, 1.0, 1.0, 4.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
