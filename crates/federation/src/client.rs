@@ -121,23 +121,21 @@ impl BenignClient {
         init_scale: f32,
         seed: u64,
     ) -> Self {
-        Self::from_parts(
-            user_id,
-            train,
-            Self::init_embedding(dim, init_scale, seed),
-            None,
-        )
+        let mut user_embedding = vec![0.0; dim];
+        Self::init_embedding(&mut user_embedding, init_scale, seed);
+        Self::from_parts(user_id, train, user_embedding, None)
     }
 
-    /// The seeded initial embedding draw, factored out so arena-backed
-    /// populations (see [`ClientPool`](crate::ClientPool)) initialize rows
-    /// bit-identically to eagerly constructed clients.
-    pub fn init_embedding(dim: usize, init_scale: f32, seed: u64) -> Vec<f32> {
+    /// The seeded initial embedding draw, written in place, factored out so
+    /// arena-backed populations (see [`ClientPool`](crate::ClientPool))
+    /// initialize their rows bit-identically to eagerly constructed clients
+    /// without allocating a vector per user.
+    pub fn init_embedding(row: &mut [f32], init_scale: f32, seed: u64) {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..dim)
-            .map(|_| rng.gen_range(-init_scale..=init_scale))
-            .collect()
+        for x in row {
+            *x = rng.gen_range(-init_scale..=init_scale);
+        }
     }
 
     /// Assembles a client around an already-materialized embedding (the

@@ -91,9 +91,7 @@ impl LazyClientPool {
             None => EmbeddingStore::zeros(n_total, dim),
         };
         for u in 0..n_benign {
-            arena
-                .row_mut(u)
-                .copy_from_slice(&BenignClient::init_embedding(dim, init_scale, seed_fn(u)));
+            BenignClient::init_embedding(arena.row_mut(u), init_scale, seed_fn(u));
         }
         Self {
             n_benign,
