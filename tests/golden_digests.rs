@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
-use pieck_frs::attacks::AttackKind;
+use pieck_frs::attacks::{AttackKind, AttackSel};
 use pieck_frs::defense::{DefenseKind, DefenseSel};
-use pieck_frs::experiments::cache::sha256_hex;
+use pieck_frs::experiments::cache::{scenario_key, sha256_hex};
 use pieck_frs::experiments::paper::PaperCommand;
 use pieck_frs::experiments::scenario::{build_simulation, build_world};
 use pieck_frs::experiments::suite::ExecOptions;
@@ -21,6 +21,38 @@ use pieck_frs::model::ModelKind;
 /// `paper scale 50000 --rounds 5`: PIECK-UEA against `median:shards=8`,
 /// 1024 sampled clients per round out of 50k registered.
 const SCALE_50K: &str = "7848a0d69e361a76ecb72235773c78011f37bb0c780f4be59ae5eed12c467bdb";
+
+/// Suite cache keys of a few cells: the default ML-100K MF scenario and the
+/// same scenario under parameterized attack and defense selections. A key
+/// moves when the canonical config JSON, a selection's serialized form or
+/// the key payload changes — every cached cell would then silently miss.
+const CACHE_KEYS: [(&str, &str, &str); 5] = [
+    (
+        "none",
+        "none",
+        "44bc61eb43230dad0e8021fd3f9952f9f678cfbf811ee8222673032f00846856",
+    ),
+    (
+        "pieck-uea:scale=2,top_n=20",
+        "none",
+        "70979fa0ae0f3161cc83674c277120d166d2b1e0f5a836972e259d0133a5b34b",
+    ),
+    (
+        "none",
+        "ours:beta=0.9,re2=false",
+        "c135cc35c5dcb0e87f5e4f433f074e9bb180e367faadb4812439c52be3d9565a",
+    ),
+    (
+        "none",
+        "median:shards=8",
+        "9992a7b75d13b1ac3748bae7292acc773a1e69cd13d473e39961a8f27367e487",
+    ),
+    (
+        "ipe-ablation-pkl",
+        "none",
+        "e0e9f0462d159058a4bc66938456ab45619851f3d61e250fa5e2b77e4f8798da",
+    ),
+];
 
 /// Small ML-100K-like cells under PIECK-UEA, one per (model, defense).
 const CELLS: [(ModelKind, &str, &str); 12] = [
@@ -150,5 +182,15 @@ fn small_cell_digests_are_pinned() {
         .collect();
     for (&(kind, defense, want), got) in CELLS.iter().zip(&got) {
         assert_eq!(got, want, "{kind:?} under {defense}");
+    }
+}
+
+#[test]
+fn cache_keys_are_pinned() {
+    for (attack, defense, want) in CACHE_KEYS {
+        let mut cfg = paper_scenario(PaperDataset::Ml100k, ModelKind::Mf, 0.05, 13);
+        cfg.attack = AttackSel::parse(attack).expect("catalog attack");
+        cfg.defense = DefenseSel::parse(defense).expect("catalog defense");
+        assert_eq!(scenario_key(&cfg), want, "{attack} / {defense}");
     }
 }
