@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::fedrecattack::FedRecAttack;
 use crate::interaction::{AHumClient, ARaClient};
 use crate::pipattack::PipAttack;
-use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, AttackSel, ParamSpec};
+use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, AttackSel, Factory, ParamSpec};
 use crate::scaled::ScaledClient;
 
 /// Norm cap applied to scaled gradient-style poison uploads.
@@ -188,7 +188,7 @@ impl AttackKind {
 /// factory implementation among equals). Params override the scenario-level
 /// context defaults; an empty payload reproduces the pre-params wiring
 /// bit for bit.
-impl AttackFactory for AttackKind {
+impl Factory for AttackKind {
     fn name(&self) -> &str {
         AttackKind::name(self)
     }
@@ -221,7 +221,9 @@ impl AttackFactory for AttackKind {
             ],
         }
     }
+}
 
+impl AttackFactory for AttackKind {
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
@@ -229,7 +231,7 @@ impl AttackFactory for AttackKind {
     ) -> Result<Vec<Box<dyn Client>>, String> {
         // Validation first: a `count = 0` probe must still catch unknown
         // keys and bad values before any client is constructed.
-        let schema = AttackFactory::param_schema(self);
+        let schema = Factory::param_schema(self);
         let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
         params.check_known(&known, AttackKind::name(self))?;
         if *self == AttackKind::NoAttack {
@@ -354,7 +356,7 @@ mod tests {
             "a-ra:scale=true",
         ] {
             let sel = AttackSel::parse(spec).unwrap();
-            assert!(sel.try_build_clients(&probe).is_err(), "{spec}");
+            assert!(sel.try_build(&probe).is_err(), "{spec}");
         }
         // The same specs with good values build (count 0 ⇒ empty vec).
         for spec in [
@@ -364,7 +366,7 @@ mod tests {
             "a-ra:scale=3",
         ] {
             let sel = AttackSel::parse(spec).unwrap();
-            assert!(sel.try_build_clients(&probe).unwrap().is_empty(), "{spec}");
+            assert!(sel.try_build(&probe).unwrap().is_empty(), "{spec}");
         }
     }
 

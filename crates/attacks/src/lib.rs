@@ -32,7 +32,7 @@ pub use fedrecattack::FedRecAttack;
 pub use interaction::{AHumClient, ARaClient};
 pub use pipattack::PipAttack;
 pub use registry::{
-    attack_factory, register_attack, registered_attacks, AttackBuildCtx, AttackFactory,
-    AttackParams, AttackSel, FnAttackFactory, IntoAttackFactory, ParamSpec, ParamValue,
+    AttackBuildCtx, AttackFactory, AttackParams, AttackSel, Factory, FnAttackFactory, ParamSpec,
+    ParamValue, Registry,
 };
 pub use scaled::ScaledClient;

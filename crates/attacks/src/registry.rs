@@ -1,49 +1,52 @@
-//! The open attack registry — mirror image of `frs_defense::registry`.
+//! The open attack registry: the attack family of the generic
+//! [`frs_federation::registry`].
 //!
 //! Attacks are [`AttackFactory`] trait objects registered by name. A factory
 //! turns a scenario-level [`AttackBuildCtx`] plus a serializable
-//! [`AttackParams`] payload into the scenario's malicious population; the
-//! enum [`AttackKind`] is a thin, backwards-compatible wrapper over registry
-//! lookups, and out-of-crate attacks plug in through [`register_attack`]
-//! without touching any core code.
-//!
-//! Scenarios reference attacks through [`AttackSel`], a `{name, params}`
-//! pair that serializes as a plain string when the params are empty
-//! (`"pieck-uea"`) and as `{"name": "pieck-uea", "params": {"scale": 2}}`
-//! otherwise. The params map is sorted-key and canonical — the same
-//! [`frs_federation::params::Params`] payload defenses use — so suite cache
-//! keys see attack hyper-parameters by construction (see
-//! `frs_experiments::cache`). The CLI form is
-//! `AttackSel::parse("pieck-uea:scale=2.0,top_n=20")`.
+//! [`AttackParams`] payload into the scenario's malicious population. The
+//! enum [`AttackKind`] is the family's [`Kind`]: its rows are the builtin
+//! entries, and out-of-crate attacks plug in through
+//! [`Registry::register`] without touching any core code. Scenarios
+//! reference attacks through an [`AttackSel`] (`pieck-uea:scale=2,top_n=20`;
+//! see the generic module for the CLI and serde forms).
 //!
 //! Factories declare the keys they accept through
-//! [`AttackFactory::param_schema`]; unknown keys, mistyped values, and
+//! [`Factory::param_schema`]; unknown keys, mistyped values, and
 //! out-of-range parameters are a clean `Err` from
-//! [`AttackFactory::build_clients`], so a typo'd `--attack` spec fails at
-//! startup (the harness probes a full build) instead of panicking three
-//! cells into a sweep.
+//! [`Selection::try_build`], so a typo'd `--attack` spec fails at startup
+//! (the harness probes a full build) instead of panicking three cells into
+//! a sweep.
 //!
 //! ```
-//! use frs_attacks::{register_attack, AttackBuildCtx, AttackSel, FnAttackFactory};
+//! use std::sync::Arc;
+//! use frs_attacks::{AttackBuildCtx, AttackKind, AttackSel, FnAttackFactory, Registry};
 //!
-//! register_attack(FnAttackFactory::new("my-attack", "MyAttack", |ctx: &AttackBuildCtx| {
-//!     Vec::new() // build `ctx.count` malicious clients here
-//! }));
+//! Registry::<AttackKind>::register(Arc::new(FnAttackFactory::new(
+//!     "my-attack",
+//!     "MyAttack",
+//!     |ctx: &AttackBuildCtx| Vec::new(), // build `ctx.count` malicious clients here
+//! )));
 //! assert!(AttackSel::named("my-attack").resolve().is_some());
 //! ```
 //!
-//! [`AttackKind`]: crate::AttackKind
+//! [`Selection::try_build`]: frs_federation::registry::Selection::try_build
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
+use frs_federation::registry::{Kind, Selection};
 use frs_federation::Client;
 use frs_model::ModelKind;
 
 use crate::catalog::AttackKind;
-use crate::variants::builtin_variant_factories;
+use crate::variants::{IpeAblation, MultiTargetPieck};
 
 pub use frs_federation::params::{ParamSpec, ParamValue};
+pub use frs_federation::registry::{Factory, Registry};
+
+/// A serializable, registry-backed reference to an attack: its registry
+/// name plus a canonical [`AttackParams`] payload — what scenario
+/// configurations carry instead of the closed enum.
+pub type AttackSel = Selection<AttackKind>;
 
 /// The canonical attack hyper-parameter payload an [`AttackSel`] carries:
 /// the shared [`frs_federation::params::Params`] map (sorted keys, one
@@ -105,22 +108,10 @@ impl<'a> AttackBuildCtx<'a> {
     }
 }
 
-/// A named attack that can populate a scenario with malicious clients.
-pub trait AttackFactory: Send + Sync {
-    /// Stable registry key (kebab-case).
-    fn name(&self) -> &str;
-
-    /// Row label for experiment tables; defaults to the registry name.
-    fn label(&self) -> &str {
-        self.name()
-    }
-
-    /// The parameters this attack accepts, for validation and for
-    /// `paper attacks list`. Empty (the default) means "takes none".
-    fn param_schema(&self) -> Vec<ParamSpec> {
-        Vec::new()
-    }
-
+/// A named attack that can populate a scenario with malicious clients. Its
+/// name, label, parameter schema and fingerprint come from the shared
+/// [`Factory`] supertrait.
+pub trait AttackFactory: Factory {
     /// Builds `ctx.count` malicious clients with dense ids starting at
     /// `ctx.first_id`. Implementations validate `params` **before**
     /// constructing any client (unknown keys and bad values are an `Err`,
@@ -131,20 +122,6 @@ pub trait AttackFactory: Send + Sync {
         ctx: &AttackBuildCtx<'_>,
         params: &AttackParams,
     ) -> Result<Vec<Box<dyn Client>>, String>;
-
-    /// Optional behaviour fingerprint, mixed into suite cache keys.
-    ///
-    /// Selection *params* need no fingerprint — they live in the config
-    /// JSON and key the cache directly. The fingerprint covers what a
-    /// runtime-registered factory *closed over*: a factory that returns a
-    /// stable string describing its captured parameters re-keys every
-    /// affected cell when the name is re-registered with different
-    /// behaviour. `None` (the default, and what the built-ins use — their
-    /// behaviour is code, versioned by the cache schema) keeps name-only
-    /// addressing.
-    fn fingerprint(&self) -> Option<String> {
-        None
-    }
 }
 
 type AttackBuildFn = Box<
@@ -157,14 +134,14 @@ type AttackBuildFn = Box<
 /// downstream experiments):
 ///
 /// ```ignore
-/// register_attack(
+/// Registry::<AttackKind>::register(Arc::new(
 ///     FnAttackFactory::parameterized("flood", "Flood", |ctx, params| {
 ///         let strength = params.get_f32("strength")?.unwrap_or(1.0);
 ///         Ok((0..ctx.count).map(|i| make_client(ctx.first_id + i, strength)).collect())
 ///     })
 ///     .with_param_schema([ParamSpec::new("strength", "upload magnitude", "1.0")])
 ///     .with_fingerprint("flood-v1"),
-/// );
+/// ));
 /// ```
 pub struct FnAttackFactory {
     name: String,
@@ -183,7 +160,7 @@ pub struct FnAttackFactory {
 impl FnAttackFactory {
     /// A parameter-less attack from an infallible closure. Chain `with_*`
     /// builder methods for schemas and fingerprints, then hand the result
-    /// to [`register_attack`].
+    /// to [`Registry::register`].
     pub fn new(
         name: impl Into<String>,
         label: impl Into<String>,
@@ -200,7 +177,7 @@ impl FnAttackFactory {
     }
 
     /// Like [`FnAttackFactory::new`], additionally carrying a behaviour
-    /// fingerprint (see [`AttackFactory::fingerprint`]) so suite caches can
+    /// fingerprint (see [`Factory::fingerprint`]) so suite caches can
     /// tell apart same-named registrations with different parameters.
     pub fn fingerprinted(
         name: impl Into<String>,
@@ -234,7 +211,7 @@ impl FnAttackFactory {
         }
     }
 
-    /// Declares a behaviour fingerprint (see [`AttackFactory::fingerprint`]
+    /// Declares a behaviour fingerprint (see [`Factory::fingerprint`]
     /// — the PR-3 cache contract for runtime registrations).
     pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
         self.fingerprint = Some(fingerprint.into());
@@ -259,7 +236,7 @@ impl FnAttackFactory {
     }
 }
 
-impl AttackFactory for FnAttackFactory {
+impl Factory for FnAttackFactory {
     fn name(&self) -> &str {
         &self.name
     }
@@ -272,6 +249,12 @@ impl AttackFactory for FnAttackFactory {
         self.schema.clone()
     }
 
+    fn fingerprint(&self) -> Option<String> {
+        self.fingerprint.clone()
+    }
+}
+
+impl AttackFactory for FnAttackFactory {
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
@@ -290,285 +273,40 @@ impl AttackFactory for FnAttackFactory {
         }
         (self.build)(ctx, params)
     }
-
-    fn fingerprint(&self) -> Option<String> {
-        self.fingerprint.clone()
-    }
 }
 
-type Registry = RwLock<BTreeMap<String, Arc<dyn AttackFactory>>>;
+/// The attack family for the generic registry: its entries are
+/// [`AttackFactory`] objects that build malicious clients.
+impl Kind for AttackKind {
+    type Factory = dyn AttackFactory;
+    type Ctx<'a> = AttackBuildCtx<'a>;
+    type Output = Vec<Box<dyn Client>>;
+    const NOUN: &'static str = "attack";
+    const BASELINE: &'static str = "none";
 
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    fn name(&self) -> &'static str {
+        AttackKind::name(self)
+    }
 
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| {
-        let mut map: BTreeMap<String, Arc<dyn AttackFactory>> = BTreeMap::new();
-        for kind in AttackKind::all() {
-            map.insert(kind.name().to_string(), Arc::new(kind));
+    fn builtins() -> Vec<Arc<dyn AttackFactory>> {
+        fn shared(factory: impl AttackFactory + 'static) -> Arc<dyn AttackFactory> {
+            Arc::new(factory)
         }
         // The paper's Table VI / Table IX attack variants are ordinary
         // parameterized catalog entries — no runtime registration needed.
-        for factory in builtin_variant_factories() {
-            map.insert(factory.name().to_string(), factory);
-        }
-        RwLock::new(map)
-    })
-}
-
-/// Anything [`register_attack`] accepts: a factory by value (boxed into an
-/// `Arc` for you) or an already-shared `Arc<dyn AttackFactory>`.
-pub trait IntoAttackFactory {
-    fn into_attack_factory(self) -> Arc<dyn AttackFactory>;
-}
-
-impl<F: AttackFactory + 'static> IntoAttackFactory for F {
-    fn into_attack_factory(self) -> Arc<dyn AttackFactory> {
-        Arc::new(self)
-    }
-}
-
-impl IntoAttackFactory for Arc<dyn AttackFactory> {
-    fn into_attack_factory(self) -> Arc<dyn AttackFactory> {
-        self
-    }
-}
-
-/// Registers (or replaces) an attack under `factory.name()`. Returns the
-/// previously registered factory of that name, if any.
-pub fn register_attack(factory: impl IntoAttackFactory) -> Option<Arc<dyn AttackFactory>> {
-    let factory = factory.into_attack_factory();
-    registry()
-        .write()
-        .expect("attack registry poisoned")
-        .insert(factory.name().to_string(), factory)
-}
-
-/// Looks an attack up by registry name.
-pub fn attack_factory(name: &str) -> Option<Arc<dyn AttackFactory>> {
-    registry()
-        .read()
-        .expect("attack registry poisoned")
-        .get(name)
-        .cloned()
-}
-
-/// All registered attack names, sorted.
-pub fn registered_attacks() -> Vec<String> {
-    registry()
-        .read()
-        .expect("attack registry poisoned")
-        .keys()
-        .cloned()
-        .collect()
-}
-
-/// A serializable, registry-backed reference to an attack: its registry
-/// name plus a canonical [`AttackParams`] payload — what scenario
-/// configurations carry instead of the closed enum. Serializes as the plain
-/// name string when the params are empty, as `{"name", "params"}` otherwise
-/// — both forms deserialize.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AttackSel {
-    name: String,
-    params: AttackParams,
-}
-
-impl AttackSel {
-    /// References a registered (or to-be-registered) attack by name, with
-    /// no parameter overrides.
-    pub fn named(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            params: AttackParams::new(),
-        }
+        let kinds = AttackKind::all().map(shared).into_iter();
+        kinds
+            .chain(IpeAblation::all().map(shared))
+            .chain(MultiTargetPieck::all().map(shared))
+            .collect()
     }
 
-    /// The benign baseline.
-    pub fn none() -> Self {
-        AttackKind::NoAttack.into()
-    }
-
-    /// Parses the CLI form `name[:k=v,…]` (e.g. `pieck-uea:scale=2.0,top_n=20`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let (name, params) = match spec.split_once(':') {
-            None => (spec.trim(), AttackParams::new()),
-            Some((name, list)) => (name.trim(), AttackParams::parse_list(list)?),
-        };
-        if name.is_empty() {
-            return Err("empty attack name".into());
-        }
-        Ok(Self {
-            name: name.to_string(),
-            params,
-        })
-    }
-
-    /// Registry key.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The parameter payload.
-    pub fn params(&self) -> &AttackParams {
-        &self.params
-    }
-
-    /// Sets a parameter (builder form).
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.params.set(key, value);
-        self
-    }
-
-    /// Sets a parameter in place.
-    pub fn set_param(&mut self, key: impl Into<String>, value: impl Into<ParamValue>) {
-        self.params.set(key, value);
-    }
-
-    /// True for the no-attack baseline.
-    pub fn is_no_attack(&self) -> bool {
-        self.name == AttackKind::NoAttack.name()
-    }
-
-    /// Table row label: the factory's, falling back to the raw name for
-    /// not-yet-registered references. Params do not change the label —
-    /// they surface through the variant axis and progress events instead.
-    pub fn label(&self) -> String {
-        match attack_factory(&self.name) {
-            Some(f) => f.label().to_string(),
-            None => self.name.clone(),
-        }
-    }
-
-    /// Resolves through the registry.
-    pub fn resolve(&self) -> Option<Arc<dyn AttackFactory>> {
-        attack_factory(&self.name)
-    }
-
-    /// The resolved factory's behaviour fingerprint, if it declares one
-    /// (unregistered names and fingerprint-less factories yield `None`).
-    pub fn fingerprint(&self) -> Option<String> {
-        self.resolve().and_then(|f| f.fingerprint())
-    }
-
-    /// Builds the malicious population; `Err` for unregistered names or
-    /// parameter errors (unknown keys, type mismatches, out-of-range
-    /// values). The CLI probes this with a `count = 0` context at startup
-    /// so a bad `--attack` spec is a clean exit, not a mid-sweep panic.
-    pub fn try_build_clients(
-        &self,
+    fn build(
+        factory: &dyn AttackFactory,
         ctx: &AttackBuildCtx<'_>,
+        params: &AttackParams,
     ) -> Result<Vec<Box<dyn Client>>, String> {
-        match self.resolve() {
-            Some(f) => {
-                // Structural schema validation: every selection-driven build
-                // checks the params against the factory's declared schema
-                // here, so an out-of-crate `impl AttackFactory` that forgets
-                // its own `check_known` preamble still rejects typo'd keys
-                // instead of silently running defaults. (Factories keep
-                // their internal checks for direct `build_clients` callers.)
-                if !self.params.is_empty() {
-                    let schema = f.param_schema();
-                    if schema.is_empty() {
-                        return Err(format!(
-                            "attack `{}` takes no parameters (got `{}`)",
-                            self.name, self.params
-                        ));
-                    }
-                    let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
-                    self.params.check_known(&known, &self.name)?;
-                }
-                f.build_clients(ctx, &self.params)
-            }
-            None => Err(format!(
-                "attack `{}` is not registered (known: {:?})",
-                self.name,
-                registered_attacks()
-            )),
-        }
-    }
-
-    /// Builds the malicious population; panics on configuration errors (the
-    /// harness path — a scenario referencing a bad attack is a programming
-    /// error, mirroring `DefenseSel::build`).
-    pub fn build_clients(&self, ctx: &AttackBuildCtx<'_>) -> Vec<Box<dyn Client>> {
-        self.try_build_clients(ctx)
-            .unwrap_or_else(|e| panic!("cannot build attack `{self}`: {e}"))
-    }
-}
-
-impl From<AttackKind> for AttackSel {
-    fn from(kind: AttackKind) -> Self {
-        AttackSel::named(kind.name())
-    }
-}
-
-impl From<&AttackKind> for AttackSel {
-    fn from(kind: &AttackKind) -> Self {
-        (*kind).into()
-    }
-}
-
-/// Name-only comparison: a parameterized `pieck-uea:scale=2` still *is* the
-/// `PieckUea` attack for labelling/reporting purposes.
-impl PartialEq<AttackKind> for AttackSel {
-    fn eq(&self, kind: &AttackKind) -> bool {
-        self.name == kind.name()
-    }
-}
-
-impl PartialEq<AttackSel> for AttackKind {
-    fn eq(&self, sel: &AttackSel) -> bool {
-        sel == self
-    }
-}
-
-/// The CLI form: `name` or `name:k=v,…`.
-impl std::fmt::Display for AttackSel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)?;
-        if !self.params.is_empty() {
-            write!(f, ":{}", self.params)?;
-        }
-        Ok(())
-    }
-}
-
-impl serde::Serialize for AttackSel {
-    fn to_value(&self) -> serde::Value {
-        if self.params.is_empty() {
-            serde::Value::String(self.name.clone())
-        } else {
-            let mut map = serde::Map::new();
-            map.insert("name".into(), serde::Value::String(self.name.clone()));
-            map.insert("params".into(), serde::Serialize::to_value(&self.params));
-            serde::Value::Object(map)
-        }
-    }
-}
-
-impl serde::Deserialize for AttackSel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(name) => Ok(AttackSel::named(name)),
-            serde::Value::Object(map) => {
-                let name = map
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .ok_or_else(|| serde::Error::new("attack object needs a `name` string"))?;
-                let params = match map.get("params") {
-                    None => AttackParams::new(),
-                    Some(p) => serde::Deserialize::from_value(p)?,
-                };
-                Ok(AttackSel {
-                    name: name.to_string(),
-                    params,
-                })
-            }
-            other => Err(serde::Error::new(format!(
-                "expected attack name or {{name, params}}, got {}",
-                other.kind()
-            ))),
-        }
+        factory.build_clients(ctx, params)
     }
 }
 
@@ -576,14 +314,18 @@ impl serde::Deserialize for AttackSel {
 mod tests {
     use super::*;
 
+    fn register(factory: impl AttackFactory + 'static) {
+        Registry::<AttackKind>::register(Arc::new(factory));
+    }
+
     #[test]
     fn builtins_are_registered() {
         for kind in AttackKind::all() {
-            let f = attack_factory(kind.name()).unwrap_or_else(|| panic!("{kind:?}"));
+            let f = Registry::<AttackKind>::get(kind.name()).unwrap_or_else(|| panic!("{kind:?}"));
             assert_eq!(f.name(), kind.name());
             assert_eq!(f.label(), kind.label());
         }
-        assert!(registered_attacks().len() >= AttackKind::all().len());
+        assert!(Registry::<AttackKind>::names().len() >= AttackKind::all().len());
     }
 
     #[test]
@@ -606,29 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_surface_through_selections() {
-        assert!(AttackSel::named("never-registered").fingerprint().is_none());
-        register_attack(FnAttackFactory::new("fp-none", "FpNone", |_| Vec::new()));
-        assert!(AttackSel::named("fp-none").fingerprint().is_none());
-        register_attack(FnAttackFactory::fingerprinted(
-            "fp-some",
-            "FpSome",
-            "lambda=0.5",
-            |_| Vec::new(),
-        ));
-        assert_eq!(
-            AttackSel::named("fp-some").fingerprint().as_deref(),
-            Some("lambda=0.5")
-        );
-        // Built-ins are code, not closures: no fingerprint.
-        assert!(AttackSel::from(AttackKind::PieckUea)
-            .fingerprint()
-            .is_none());
-    }
-
-    #[test]
     fn custom_factory_round_trips() {
-        register_attack(FnAttackFactory::new("reg-test", "RegTest", |ctx| {
+        register(FnAttackFactory::new("reg-test", "RegTest", |ctx| {
             assert_eq!(ctx.count, 0);
             Vec::new()
         }));
@@ -641,12 +362,12 @@ mod tests {
 
     #[test]
     fn fn_factory_rejects_params_without_schema() {
-        register_attack(FnAttackFactory::new("no-params", "NoParams", |_| {
-            Vec::new()
-        }));
-        let sel = AttackSel::named("no-params").with_param("tau", 0.5f32);
-        let err = sel
-            .try_build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
+        // Direct factory calls bypass the selection's schema check, so the
+        // factory keeps its own.
+        let factory = FnAttackFactory::new("no-params", "NoParams", |_| Vec::new());
+        let params = AttackParams::new().with("tau", 0.5f32);
+        let err = factory
+            .build_clients(&AttackBuildCtx::minimal(0, 0, &[]), &params)
             .err()
             .unwrap();
         assert!(err.contains("takes no parameters"), "{err}");
@@ -654,7 +375,7 @@ mod tests {
 
     #[test]
     fn parameterized_fn_factory_sees_params_and_validates_keys() {
-        register_attack(
+        register(
             FnAttackFactory::parameterized("param-attack", "ParamAttack", |ctx, params| {
                 let strength = params.get_f32("strength")?.unwrap_or(1.0);
                 assert_eq!(strength, 0.25);
@@ -665,9 +386,7 @@ mod tests {
             .with_fingerprint("param-attack-v1"),
         );
         let sel = AttackSel::named("param-attack").with_param("strength", 0.25f32);
-        assert!(sel
-            .try_build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
-            .is_ok());
+        assert!(sel.try_build(&AttackBuildCtx::minimal(0, 0, &[])).is_ok());
         assert_eq!(
             sel.fingerprint().as_deref(),
             Some("param-attack-v1"),
@@ -677,7 +396,7 @@ mod tests {
         // Unknown keys fail against the declared schema.
         let bad = AttackSel::named("param-attack").with_param("strenght", 0.25f32);
         let err = bad
-            .try_build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
+            .try_build(&AttackBuildCtx::minimal(0, 0, &[]))
             .err()
             .unwrap();
         assert!(err.contains("unknown parameter"), "{err}");
@@ -690,104 +409,6 @@ mod tests {
         // and cache-key keys it silently ignores — refuse it up front.
         let _ = FnAttackFactory::new("blind", "Blind", |_| Vec::new())
             .with_param_schema([ParamSpec::new("x", "ignored", "1")]);
-    }
-
-    #[test]
-    fn selection_path_validates_schema_even_for_lazy_factories() {
-        /// An out-of-crate factory that "forgets" its check_known preamble.
-        struct Lazy;
-        impl AttackFactory for Lazy {
-            fn name(&self) -> &str {
-                "lazy"
-            }
-            fn param_schema(&self) -> Vec<ParamSpec> {
-                vec![ParamSpec::new("k", "the only key", "1")]
-            }
-            fn build_clients(
-                &self,
-                _ctx: &AttackBuildCtx<'_>,
-                _params: &AttackParams,
-            ) -> Result<Vec<Box<dyn Client>>, String> {
-                Ok(Vec::new())
-            }
-        }
-        register_attack(Lazy);
-        let probe = AttackBuildCtx::minimal(0, 0, &[]);
-        // The selection path rejects typo'd keys structurally…
-        let err = AttackSel::named("lazy")
-            .with_param("kk", 1u64)
-            .try_build_clients(&probe)
-            .err()
-            .unwrap();
-        assert!(err.contains("unknown parameter"), "{err}");
-        // …and declared keys still pass through.
-        assert!(AttackSel::named("lazy")
-            .with_param("k", 1u64)
-            .try_build_clients(&probe)
-            .is_ok());
-    }
-
-    #[test]
-    fn sel_compares_against_kinds_and_serializes_as_string() {
-        let sel: AttackSel = AttackKind::PieckUea.into();
-        assert_eq!(sel, AttackKind::PieckUea);
-        assert_ne!(sel, AttackKind::PieckIpe);
-        assert!(AttackSel::none().is_no_attack());
-        let v = serde::Serialize::to_value(&sel);
-        assert_eq!(v.as_str(), Some("pieck-uea"));
-        let back: AttackSel = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, sel);
-    }
-
-    #[test]
-    fn parameterized_sel_serializes_as_object_and_round_trips() {
-        let sel = AttackSel::named("pieck-uea")
-            .with_param("scale", 2.0f32)
-            .with_param("top_n", 20usize);
-        let v = serde::Serialize::to_value(&sel);
-        let obj = v.as_object().expect("object form");
-        assert_eq!(obj.get("name").and_then(|n| n.as_str()), Some("pieck-uea"));
-        let back: AttackSel = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, sel);
-        // A params difference is a selection difference…
-        assert_ne!(sel, AttackSel::named("pieck-uea").with_param("scale", 3u64));
-        // …but name-vs-kind comparison ignores params.
-        assert_eq!(sel, AttackKind::PieckUea);
-    }
-
-    #[test]
-    fn parses_cli_specs() {
-        assert_eq!(
-            AttackSel::parse("pieck-uea").unwrap(),
-            AttackSel::named("pieck-uea")
-        );
-        let sel = AttackSel::parse("pieck-uea:scale=2.0,top_n=20").unwrap();
-        assert_eq!(sel.name(), "pieck-uea");
-        assert_eq!(sel.params().get_f32("scale").unwrap(), Some(2.0));
-        assert_eq!(sel.params().get_usize("top_n").unwrap(), Some(20));
-        // Whole floats normalize: `scale=2.0` keys and prints like `scale=2`.
-        assert_eq!(sel.to_string(), "pieck-uea:scale=2,top_n=20");
-        assert_eq!(AttackSel::parse(&sel.to_string()).unwrap(), sel);
-        assert_eq!(
-            sel,
-            AttackSel::named("pieck-uea")
-                .with_param("scale", 2.0f32)
-                .with_param("top_n", 20usize)
-        );
-
-        assert!(AttackSel::parse("").is_err());
-        assert!(AttackSel::parse("pieck-uea:scale").is_err());
-        assert!(AttackSel::parse(":scale=1").is_err());
-    }
-
-    #[test]
-    fn unknown_attack_is_a_clean_error_with_catalogue() {
-        let err = AttackSel::named("does-not-exist")
-            .try_build_clients(&AttackBuildCtx::minimal(0, 1, &[]))
-            .err()
-            .unwrap();
-        assert!(err.contains("not registered"), "{err}");
-        assert!(err.contains("pieck-uea"), "lists the catalogue: {err}");
     }
 
     #[test]

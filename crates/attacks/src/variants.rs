@@ -2,7 +2,7 @@
 //! entries.
 //!
 //! These used to be closures registered *at runtime* by the `paper` CLI's
-//! suite declarations (`register_attack` + a behaviour fingerprint so the
+//! suite declarations (with a behaviour fingerprint so the
 //! cache could see the closed-over parameters). That worked, but it meant
 //! `table6`/`table9` cells could not be rebuilt from their serialized
 //! configs alone — replaying a saved suite in a fresh process required
@@ -22,8 +22,6 @@
 //!
 //! [`AttackSel`]: crate::registry::AttackSel
 
-use std::sync::Arc;
-
 use frs_federation::Client;
 use pieck_core::{IpeConfig, MultiTargetStrategy, PieckClient, PieckConfig, SimilarityMetric};
 
@@ -31,21 +29,8 @@ use crate::catalog::{
     mining_rounds_spec, resolve_pieck_knobs, resolve_uea_scale, scale_spec, top_n_spec,
     POISON_NORM_CAP,
 };
-use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, ParamSpec};
+use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, Factory, ParamSpec};
 use crate::scaled::ScaledClient;
-
-/// The builtin variant factories the registry seeds itself with, alongside
-/// the [`AttackKind`](crate::AttackKind) rows.
-pub(crate) fn builtin_variant_factories() -> Vec<Arc<dyn AttackFactory>> {
-    let mut factories: Vec<Arc<dyn AttackFactory>> = Vec::new();
-    for ablation in IpeAblation::all() {
-        factories.push(Arc::new(ablation));
-    }
-    for entry in MultiTargetPieck::all() {
-        factories.push(Arc::new(entry));
-    }
-    factories
-}
 
 // ------------------------------------------------- Table VI: L_IPE ablation
 
@@ -101,7 +86,7 @@ impl IpeAblation {
     }
 }
 
-impl AttackFactory for IpeAblation {
+impl Factory for IpeAblation {
     fn name(&self) -> &str {
         self.name
     }
@@ -122,7 +107,9 @@ impl AttackFactory for IpeAblation {
             ),
         ]
     }
+}
 
+impl AttackFactory for IpeAblation {
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
@@ -207,7 +194,7 @@ impl MultiTargetPieck {
     }
 }
 
-impl AttackFactory for MultiTargetPieck {
+impl Factory for MultiTargetPieck {
     fn name(&self) -> &str {
         self.name
     }
@@ -236,7 +223,9 @@ impl AttackFactory for MultiTargetPieck {
         });
         schema
     }
+}
 
+impl AttackFactory for MultiTargetPieck {
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
@@ -308,7 +297,7 @@ mod tests {
             "pieck-uea-together",
             "pieck-uea-copy",
         ] {
-            let factory = crate::registry::attack_factory(name)
+            let factory = crate::registry::Registry::<crate::AttackKind>::get(name)
                 .unwrap_or_else(|| panic!("`{name}` must be a builtin"));
             assert!(factory.fingerprint().is_none(), "builtins are code: {name}");
             assert!(!factory.param_schema().is_empty(), "{name}");
@@ -331,14 +320,14 @@ mod tests {
         assert!(clients.iter().all(|c| c.is_malicious()));
 
         let bad = AttackSel::named("ipe-ablation-pkl").with_param("lambda", 1.5f32);
-        let err = bad.try_build_clients(&ctx).err().unwrap();
+        let err = bad.try_build(&ctx).err().unwrap();
         assert!(err.contains("lambda"), "{err}");
         // Validation runs even on a count-0 probe.
         let probe = AttackBuildCtx::minimal(0, 0, &[]);
-        assert!(bad.try_build_clients(&probe).is_err());
+        assert!(bad.try_build(&probe).is_err());
         let typo = AttackSel::named("ipe-ablation-pkl").with_param("lamda", 0.5f32);
         assert!(typo
-            .try_build_clients(&probe)
+            .try_build(&probe)
             .err()
             .unwrap()
             .contains("unknown parameter"));
@@ -362,10 +351,6 @@ mod tests {
         assert_eq!(sel.build_clients(&ctx).len(), 1);
         // top_n=0 is a clean error.
         let zero = AttackSel::named("pieck-uea-copy").with_param("top_n", 0usize);
-        assert!(zero
-            .try_build_clients(&ctx)
-            .err()
-            .unwrap()
-            .contains("top_n"));
+        assert!(zero.try_build(&ctx).err().unwrap().contains("top_n"));
     }
 }

@@ -19,7 +19,7 @@ use crate::krum::{Bulyan, Krum, MultiKrum};
 use crate::median::{Median, TrimmedMean};
 use crate::norm_bound::NormBound;
 use crate::registry::{
-    DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, DefenseSel, ParamSpec,
+    DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, DefenseSel, Factory, ParamSpec,
 };
 
 /// Every defense evaluated in the paper, in Table IV row order. `Ours` is
@@ -113,17 +113,13 @@ impl DefenseKind {
 
 /// The builtin construction logic (the old closed-enum dispatch, now one
 /// factory implementation among equals).
-impl DefenseFactory for DefenseKind {
+impl Factory for DefenseKind {
     fn name(&self) -> &str {
         DefenseKind::name(self)
     }
 
     fn label(&self) -> &str {
         DefenseKind::label(self)
-    }
-
-    fn is_client_side(&self) -> bool {
-        DefenseKind::is_client_side(self)
     }
 
     fn param_schema(&self) -> Vec<ParamSpec> {
@@ -167,13 +163,19 @@ impl DefenseFactory for DefenseKind {
             ],
         }
     }
+}
+
+impl DefenseFactory for DefenseKind {
+    fn is_client_side(&self) -> bool {
+        DefenseKind::is_client_side(self)
+    }
 
     fn build(
         &self,
         ctx: &DefenseBuildCtx,
         params: &DefenseParams,
     ) -> Result<DefenseInstance, String> {
-        let schema = DefenseFactory::param_schema(self);
+        let schema = Factory::param_schema(self);
         let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
         params.check_known(&known, DefenseKind::name(self))?;
         // Robust rules assume a minority of malicious uploads; clamp.
@@ -347,8 +349,11 @@ mod tests {
             assert!(out.items.rows().flatten().all(|v| v.is_finite()), "{name}");
         }
         // NoDefense/NormBound/Ours do not take the param.
-        let typo = DefenseSel::named("none").with_param("shards", 2usize);
+        let typo = DefenseSel::named("norm-bound").with_param("shards", 2usize);
         assert!(typo.try_build(&ctx).unwrap_err().contains("unknown"));
+        let none = DefenseSel::named("none").with_param("shards", 2usize);
+        let err = none.try_build(&ctx).unwrap_err();
+        assert_eq!(err, "defense `none` takes no parameters (got `shards=2`)");
     }
 
     #[test]

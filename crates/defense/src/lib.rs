@@ -31,7 +31,6 @@ pub use krum::{Bulyan, Krum, MultiKrum};
 pub use median::{Median, TrimmedMean};
 pub use norm_bound::NormBound;
 pub use registry::{
-    defense_factory, register_defense, registered_defenses, DefenseBuildCtx, DefenseFactory,
-    DefenseInstance, DefenseParams, DefenseSel, FnDefenseFactory, IntoDefenseFactory, ParamSpec,
-    ParamValue, RegularizerFactory,
+    DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, DefenseSel, Factory,
+    FnDefenseFactory, ParamSpec, ParamValue, Registry, RegularizerFactory,
 };

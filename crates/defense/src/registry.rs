@@ -1,18 +1,15 @@
-//! The open defense registry — mirror image of `frs_attacks::registry`.
+//! The open defense registry: the defense family of the generic
+//! [`frs_federation::registry`].
 //!
 //! Defenses are [`DefenseFactory`] trait objects registered by name. A
 //! factory turns a scenario-level [`DefenseBuildCtx`] plus a serializable
 //! [`DefenseParams`] payload into a [`DefenseInstance`]: the server-side
 //! [`Aggregator`] and — for client-side schemes like the paper's
 //! regularization defense — a per-client [`LocalRegularizer`] factory the
-//! harness invokes once per benign client.
-//!
-//! Scenarios reference defenses through [`DefenseSel`], a `{name, params}`
-//! pair that serializes as a plain string when the params are empty
-//! (`"ours"`) and as `{"name": "ours", "params": {"beta": 0.9}}` otherwise.
-//! The params map is sorted-key and canonical, so structurally equal
-//! selections always produce the same JSON bytes — which is what lets suite
-//! cache keys see defense hyper-parameters (see `frs_experiments::cache`).
+//! harness invokes once per benign client. The enum [`DefenseKind`] is the
+//! family's [`Kind`]: its rows are the builtin entries. Scenarios reference
+//! defenses through a [`DefenseSel`] (`ours:beta=0.9,re2=false`; see the
+//! generic module for the CLI and serde forms).
 //!
 //! The paper's own defense (`"ours"`) goes through this registry like every
 //! other factory: its β/γ weights, the Re1/Re2 ablation switches, and the
@@ -23,24 +20,20 @@
 //! Ad-hoc defenses use [`FnDefenseFactory`]:
 //!
 //! ```
-//! use frs_defense::{register_defense, DefenseSel, FnDefenseFactory};
+//! use std::sync::Arc;
+//! use frs_defense::{DefenseKind, DefenseSel, FnDefenseFactory, Registry};
 //! use frs_federation::SumAggregator;
 //!
-//! register_defense(
+//! Registry::<DefenseKind>::register(Arc::new(
 //!     FnDefenseFactory::new("plain-sum", "PlainSum", |_ctx| Box::new(SumAggregator))
 //!         .with_fingerprint("v1"),
-//! );
+//! ));
 //! assert!(DefenseSel::named("plain-sum").resolve().is_some());
 //! ```
-//!
-//! The legacy [`DefenseKind`] enum remains as a thin wrapper over registry
-//! lookups.
-//!
-//! [`DefenseKind`]: crate::DefenseKind
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
+use frs_federation::registry::{Kind, Selection};
 use frs_federation::{Aggregator, LocalRegularizer};
 use frs_model::ModelKind;
 
@@ -49,6 +42,7 @@ use crate::catalog::DefenseKind;
 // ------------------------------------------------------------------ params
 
 pub use frs_federation::params::{ParamSpec, ParamValue};
+pub use frs_federation::registry::{Factory, Registry};
 
 /// The canonical defense hyper-parameter payload a [`DefenseSel`] carries:
 /// the shared [`frs_federation::params::Params`] map (sorted keys, one
@@ -155,26 +149,13 @@ impl DefenseInstance {
 
 // ----------------------------------------------------------------- factory
 
-/// A named defense that can arm a scenario.
-pub trait DefenseFactory: Send + Sync {
-    /// Stable registry key (kebab-case).
-    fn name(&self) -> &str;
-
-    /// Row label for experiment tables; defaults to the registry name.
-    fn label(&self) -> &str {
-        self.name()
-    }
-
+/// A named defense that can arm a scenario. Its name, label, parameter
+/// schema and fingerprint come from the shared [`Factory`] supertrait.
+pub trait DefenseFactory: Factory {
     /// True for defenses that run inside benign clients rather than in the
     /// server's aggregation rule.
     fn is_client_side(&self) -> bool {
         false
-    }
-
-    /// The parameters this defense accepts, for validation and for
-    /// `paper defenses list`. Empty (the default) means "takes none".
-    fn param_schema(&self) -> Vec<ParamSpec> {
-        Vec::new()
     }
 
     /// Instantiates the defense for one scenario. Implementations validate
@@ -185,18 +166,6 @@ pub trait DefenseFactory: Send + Sync {
         ctx: &DefenseBuildCtx,
         params: &DefenseParams,
     ) -> Result<DefenseInstance, String>;
-
-    /// Optional behaviour fingerprint, mixed into suite cache keys — same
-    /// contract as `AttackFactory::fingerprint` in `frs_attacks`: a stable
-    /// string describing closed-over parameters, so re-registering this
-    /// name with different behaviour re-keys cached cells. (`DefenseSel`
-    /// *params* need no fingerprint — they live in the config JSON and key
-    /// the cache directly; the fingerprint covers what the factory closed
-    /// over.) `None` (the default, used by the built-ins) keeps name-only
-    /// addressing.
-    fn fingerprint(&self) -> Option<String> {
-        None
-    }
 }
 
 type AggregatorBuildFn =
@@ -209,12 +178,14 @@ type RegularizerBuildFn =
 /// hand-rolled trait impl:
 ///
 /// ```ignore
-/// register_defense(
+/// Registry::<DefenseKind>::register(Arc::new(
 ///     FnDefenseFactory::new("my-defense", "MyDefense", |_ctx| Box::new(SumAggregator))
-///         .with_regularizer(|ctx| Box::new(MyRegularizer::new(ctx.mined_top_n)))
 ///         .with_param_schema([ParamSpec::new("tau", "attenuation", "1.0")])
+///         .with_params_regularizer(|ctx, params, _client_id| {
+///             Box::new(MyRegularizer::new(params.get_f32("tau").ok().flatten().unwrap_or(1.0)))
+///         })
 ///         .with_fingerprint("tau-default=1.0"),
-/// );
+/// ));
 /// ```
 pub struct FnDefenseFactory {
     name: String,
@@ -223,12 +194,20 @@ pub struct FnDefenseFactory {
     schema: Vec<ParamSpec>,
     aggregator: AggregatorBuildFn,
     regularizer: Option<RegularizerBuildFn>,
+    /// Whether the aggregator closure receives the params
+    /// ([`FnDefenseFactory::parameterized`]).
+    aggregator_reads_params: bool,
+    /// Whether the regularizer closure receives the params
+    /// ([`FnDefenseFactory::with_params_regularizer`]). When neither
+    /// closure does, `build` refuses params: declared keys would be
+    /// validated and cache-keyed, then silently ignored.
+    regularizer_reads_params: bool,
 }
 
 impl FnDefenseFactory {
     /// A server-side defense from an aggregator closure. Chain `with_*`
     /// builder methods for regularizers, params, and fingerprints, then
-    /// hand the result to [`register_defense`].
+    /// hand the result to [`Registry::register`].
     pub fn new(
         name: impl Into<String>,
         label: impl Into<String>,
@@ -241,11 +220,13 @@ impl FnDefenseFactory {
             schema: Vec::new(),
             aggregator: Box::new(move |ctx, _params| aggregator(ctx)),
             regularizer: None,
+            aggregator_reads_params: false,
+            regularizer_reads_params: false,
         }
     }
 
     /// Like [`FnDefenseFactory::new`], additionally carrying a behaviour
-    /// fingerprint (see [`DefenseFactory::fingerprint`]).
+    /// fingerprint (see [`Factory::fingerprint`]).
     pub fn fingerprinted(
         name: impl Into<String>,
         label: impl Into<String>,
@@ -274,10 +255,12 @@ impl FnDefenseFactory {
             schema: Vec::new(),
             aggregator: Box::new(aggregator),
             regularizer: None,
+            aggregator_reads_params: true,
+            regularizer_reads_params: false,
         }
     }
 
-    /// Declares a behaviour fingerprint (see [`DefenseFactory::fingerprint`]
+    /// Declares a behaviour fingerprint (see [`Factory::fingerprint`]
     /// — the PR-3 cache contract for runtime registrations).
     pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
         self.fingerprint = Some(fingerprint.into());
@@ -285,7 +268,8 @@ impl FnDefenseFactory {
     }
 
     /// Declares the accepted parameters. Without a schema, any non-empty
-    /// [`DefenseParams`] fails the build.
+    /// [`DefenseParams`] fails the build, and so do declared keys when
+    /// neither closure receives the params.
     pub fn with_param_schema(mut self, schema: impl IntoIterator<Item = ParamSpec>) -> Self {
         self.schema = schema.into_iter().collect();
         self
@@ -299,6 +283,7 @@ impl FnDefenseFactory {
         build: impl Fn(&DefenseBuildCtx) -> Box<dyn LocalRegularizer> + Send + Sync + 'static,
     ) -> Self {
         self.regularizer = Some(Arc::new(move |ctx, _params, _client_id| build(ctx)));
+        self.regularizer_reads_params = false;
         self
     }
 
@@ -313,11 +298,12 @@ impl FnDefenseFactory {
             + 'static,
     ) -> Self {
         self.regularizer = Some(Arc::new(build));
+        self.regularizer_reads_params = true;
         self
     }
 }
 
-impl DefenseFactory for FnDefenseFactory {
+impl Factory for FnDefenseFactory {
     fn name(&self) -> &str {
         &self.name
     }
@@ -326,12 +312,18 @@ impl DefenseFactory for FnDefenseFactory {
         &self.label
     }
 
-    fn is_client_side(&self) -> bool {
-        self.regularizer.is_some()
-    }
-
     fn param_schema(&self) -> Vec<ParamSpec> {
         self.schema.clone()
+    }
+
+    fn fingerprint(&self) -> Option<String> {
+        self.fingerprint.clone()
+    }
+}
+
+impl DefenseFactory for FnDefenseFactory {
+    fn is_client_side(&self) -> bool {
+        self.regularizer.is_some()
     }
 
     fn build(
@@ -349,6 +341,14 @@ impl DefenseFactory for FnDefenseFactory {
             }
             let known: Vec<&str> = self.schema.iter().map(|s| s.key.as_str()).collect();
             params.check_known(&known, &self.name)?;
+            if !self.aggregator_reads_params && !self.regularizer_reads_params {
+                let unread: Vec<&str> = params.keys().collect();
+                return Err(format!(
+                    "defense `{}`: no closure reads the parameter(s) {unread:?}; build it \
+                     with FnDefenseFactory::parameterized or with_params_regularizer",
+                    self.name
+                ));
+            }
         }
         let aggregator = (self.aggregator)(ctx, params);
         Ok(match &self.regularizer {
@@ -364,264 +364,44 @@ impl DefenseFactory for FnDefenseFactory {
             }
         })
     }
-
-    fn fingerprint(&self) -> Option<String> {
-        self.fingerprint.clone()
-    }
 }
 
 // ---------------------------------------------------------------- registry
 
-type Registry = RwLock<BTreeMap<String, Arc<dyn DefenseFactory>>>;
+/// The defense family for the generic registry: its entries are
+/// [`DefenseFactory`] objects that arm a scenario.
+impl Kind for DefenseKind {
+    type Factory = dyn DefenseFactory;
+    type Ctx<'a> = DefenseBuildCtx;
+    type Output = DefenseInstance;
+    const NOUN: &'static str = "defense";
+    const BASELINE: &'static str = "none";
 
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| {
-        let mut map: BTreeMap<String, Arc<dyn DefenseFactory>> = BTreeMap::new();
-        for kind in DefenseKind::all() {
-            map.insert(DefenseKind::name(&kind).to_string(), Arc::new(kind));
-        }
-        RwLock::new(map)
-    })
-}
-
-/// Anything [`register_defense`] accepts: a factory by value (boxed into an
-/// `Arc` for you) or an already-shared `Arc<dyn DefenseFactory>`.
-pub trait IntoDefenseFactory {
-    fn into_defense_factory(self) -> Arc<dyn DefenseFactory>;
-}
-
-impl<F: DefenseFactory + 'static> IntoDefenseFactory for F {
-    fn into_defense_factory(self) -> Arc<dyn DefenseFactory> {
-        Arc::new(self)
+    fn name(&self) -> &'static str {
+        DefenseKind::name(self)
     }
-}
 
-impl IntoDefenseFactory for Arc<dyn DefenseFactory> {
-    fn into_defense_factory(self) -> Arc<dyn DefenseFactory> {
-        self
+    fn builtins() -> Vec<Arc<dyn DefenseFactory>> {
+        DefenseKind::all()
+            .into_iter()
+            .map(|kind| Arc::new(kind) as Arc<dyn DefenseFactory>)
+            .collect()
     }
-}
 
-/// Registers (or replaces) a defense under `factory.name()`. Returns the
-/// previously registered factory of that name, if any.
-pub fn register_defense(factory: impl IntoDefenseFactory) -> Option<Arc<dyn DefenseFactory>> {
-    let factory = factory.into_defense_factory();
-    registry()
-        .write()
-        .expect("defense registry poisoned")
-        .insert(factory.name().to_string(), factory)
-}
-
-/// Looks a defense up by registry name.
-pub fn defense_factory(name: &str) -> Option<Arc<dyn DefenseFactory>> {
-    registry()
-        .read()
-        .expect("defense registry poisoned")
-        .get(name)
-        .cloned()
-}
-
-/// All registered defense names, sorted.
-pub fn registered_defenses() -> Vec<String> {
-    registry()
-        .read()
-        .expect("defense registry poisoned")
-        .keys()
-        .cloned()
-        .collect()
+    fn build(
+        factory: &dyn DefenseFactory,
+        ctx: &DefenseBuildCtx,
+        params: &DefenseParams,
+    ) -> Result<DefenseInstance, String> {
+        factory.build(ctx, params)
+    }
 }
 
 // --------------------------------------------------------------- selection
 
 /// A serializable, registry-backed reference to a defense: its registry
-/// name plus a canonical [`DefenseParams`] payload. Serializes as the plain
-/// name string when the params are empty, as `{"name", "params"}` otherwise
-/// — both forms deserialize.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DefenseSel {
-    name: String,
-    params: DefenseParams,
-}
-
-impl DefenseSel {
-    /// References a registered (or to-be-registered) defense by name, with
-    /// no parameter overrides.
-    pub fn named(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            params: DefenseParams::new(),
-        }
-    }
-
-    /// The undefended baseline.
-    pub fn none() -> Self {
-        DefenseKind::NoDefense.into()
-    }
-
-    /// Parses the CLI form `name[:k=v,…]` (e.g. `ours:beta=0.9,re2=false`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let (name, params) = match spec.split_once(':') {
-            None => (spec.trim(), DefenseParams::new()),
-            Some((name, list)) => (name.trim(), DefenseParams::parse_list(list)?),
-        };
-        if name.is_empty() {
-            return Err("empty defense name".into());
-        }
-        Ok(Self {
-            name: name.to_string(),
-            params,
-        })
-    }
-
-    /// Registry key.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The parameter payload.
-    pub fn params(&self) -> &DefenseParams {
-        &self.params
-    }
-
-    /// Sets a parameter (builder form).
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.params.set(key, value);
-        self
-    }
-
-    /// Sets a parameter in place ([`crate::registry::DefenseParams::set`]).
-    pub fn set_param(&mut self, key: impl Into<String>, value: impl Into<ParamValue>) {
-        self.params.set(key, value);
-    }
-
-    /// True for the undefended baseline.
-    pub fn is_no_defense(&self) -> bool {
-        self.name == DefenseKind::NoDefense.name()
-    }
-
-    /// Table row label (the factory's; params do not change the label —
-    /// they surface through the variant axis and progress events instead).
-    pub fn label(&self) -> String {
-        match defense_factory(&self.name) {
-            Some(f) => f.label().to_string(),
-            None => self.name.clone(),
-        }
-    }
-
-    /// True when the resolved defense runs client-side.
-    pub fn is_client_side(&self) -> bool {
-        self.resolve().map(|f| f.is_client_side()).unwrap_or(false)
-    }
-
-    /// Resolves through the registry.
-    pub fn resolve(&self) -> Option<Arc<dyn DefenseFactory>> {
-        defense_factory(&self.name)
-    }
-
-    /// The resolved factory's behaviour fingerprint, if it declares one.
-    pub fn fingerprint(&self) -> Option<String> {
-        self.resolve().and_then(|f| f.fingerprint())
-    }
-
-    /// Instantiates the defense; `Err` for unregistered names or parameter
-    /// errors (unknown keys, type mismatches).
-    pub fn try_build(&self, ctx: &DefenseBuildCtx) -> Result<DefenseInstance, String> {
-        match self.resolve() {
-            Some(f) => f.build(ctx, &self.params),
-            None => Err(format!(
-                "defense `{}` is not registered (known: {:?})",
-                self.name,
-                registered_defenses()
-            )),
-        }
-    }
-
-    /// Instantiates the defense; panics on configuration errors (the
-    /// harness path — a scenario referencing a bad defense is a programming
-    /// error, mirroring `AttackSel::build_clients`).
-    pub fn build(&self, ctx: &DefenseBuildCtx) -> DefenseInstance {
-        self.try_build(ctx)
-            .unwrap_or_else(|e| panic!("cannot build defense `{self}`: {e}"))
-    }
-}
-
-impl From<DefenseKind> for DefenseSel {
-    fn from(kind: DefenseKind) -> Self {
-        DefenseSel::named(kind.name())
-    }
-}
-
-impl From<&DefenseKind> for DefenseSel {
-    fn from(kind: &DefenseKind) -> Self {
-        (*kind).into()
-    }
-}
-
-/// Name-only comparison: a parameterized `ours:beta=0.9` still *is* the
-/// `Ours` defense for labelling/reporting purposes.
-impl PartialEq<DefenseKind> for DefenseSel {
-    fn eq(&self, kind: &DefenseKind) -> bool {
-        self.name == kind.name()
-    }
-}
-
-impl PartialEq<DefenseSel> for DefenseKind {
-    fn eq(&self, sel: &DefenseSel) -> bool {
-        sel == self
-    }
-}
-
-/// The CLI form: `name` or `name:k=v,…`.
-impl std::fmt::Display for DefenseSel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)?;
-        if !self.params.is_empty() {
-            write!(f, ":{}", self.params)?;
-        }
-        Ok(())
-    }
-}
-
-impl serde::Serialize for DefenseSel {
-    fn to_value(&self) -> serde::Value {
-        if self.params.is_empty() {
-            serde::Value::String(self.name.clone())
-        } else {
-            let mut map = serde::Map::new();
-            map.insert("name".into(), serde::Value::String(self.name.clone()));
-            map.insert("params".into(), serde::Serialize::to_value(&self.params));
-            serde::Value::Object(map)
-        }
-    }
-}
-
-impl serde::Deserialize for DefenseSel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(name) => Ok(DefenseSel::named(name)),
-            serde::Value::Object(map) => {
-                let name = map
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .ok_or_else(|| serde::Error::new("defense object needs a `name` string"))?;
-                let params = match map.get("params") {
-                    None => DefenseParams::new(),
-                    Some(p) => serde::Deserialize::from_value(p)?,
-                };
-                Ok(DefenseSel {
-                    name: name.to_string(),
-                    params,
-                })
-            }
-            other => Err(serde::Error::new(format!(
-                "expected defense name or {{name, params}}, got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
+/// name plus a canonical [`DefenseParams`] payload.
+pub type DefenseSel = Selection<DefenseKind>;
 
 #[cfg(test)]
 mod tests {
@@ -629,10 +409,14 @@ mod tests {
     use frs_federation::{RoundContext, SumAggregator};
     use frs_model::{GlobalGradients, GlobalModel};
 
+    fn register(factory: impl DefenseFactory + 'static) {
+        Registry::<DefenseKind>::register(Arc::new(factory));
+    }
+
     #[test]
     fn builtins_are_registered() {
         for kind in DefenseKind::all() {
-            let f = defense_factory(kind.name()).unwrap_or_else(|| panic!("{kind:?}"));
+            let f = Registry::<DefenseKind>::get(kind.name()).unwrap_or_else(|| panic!("{kind:?}"));
             assert_eq!(f.label(), kind.label());
             assert_eq!(f.is_client_side(), kind.is_client_side());
         }
@@ -658,12 +442,12 @@ mod tests {
 
     #[test]
     fn custom_defense_round_trips() {
-        register_defense(FnDefenseFactory::new("sum-again", "SumAgain", |_| {
+        register(FnDefenseFactory::new("sum-again", "SumAgain", |_| {
             Box::new(SumAggregator)
         }));
         let sel = DefenseSel::named("sum-again");
         assert_eq!(sel.label(), "SumAgain");
-        assert!(!sel.is_client_side());
+        assert!(!sel.resolve().unwrap().is_client_side());
         let ctx = DefenseBuildCtx::minimal(0.0, 1.0);
         assert_eq!(sel.build(&ctx).aggregator.name(), "NoDefense");
     }
@@ -689,13 +473,13 @@ mod tests {
 
     #[test]
     fn fn_factory_with_regularizer_is_client_side() {
-        register_defense(
+        register(
             FnDefenseFactory::new("inert-client", "InertClient", |_| Box::new(SumAggregator))
                 .with_regularizer(|_ctx| Box::new(InertReg))
                 .with_fingerprint("inert-v1"),
         );
         let sel = DefenseSel::named("inert-client");
-        assert!(sel.is_client_side());
+        assert!(sel.resolve().unwrap().is_client_side());
         assert_eq!(sel.fingerprint().as_deref(), Some("inert-v1"));
         let instance = sel.build(&DefenseBuildCtx::minimal(0.05, 1.0));
         assert!(instance.regularizer_for(3).is_some());
@@ -705,24 +489,53 @@ mod tests {
 
     #[test]
     fn fn_factory_rejects_params_without_schema() {
-        register_defense(FnDefenseFactory::new("no-params", "NoParams", |_| {
-            Box::new(SumAggregator)
-        }));
-        let sel = DefenseSel::named("no-params").with_param("tau", 0.5f32);
-        let err = sel
-            .try_build(&DefenseBuildCtx::minimal(0.05, 1.0))
+        // Direct factory calls bypass the selection's schema check, so the
+        // factory keeps its own.
+        let factory = FnDefenseFactory::new("no-params", "NoParams", |_| Box::new(SumAggregator));
+        let params = DefenseParams::new().with("tau", 0.5f32);
+        let err = factory
+            .build(&DefenseBuildCtx::minimal(0.05, 1.0), &params)
             .unwrap_err();
         assert!(err.contains("takes no parameters"), "{err}");
     }
 
     #[test]
+    fn fn_factory_refuses_params_no_closure_reads() {
+        // A schema on params-blind closures would validate and cache-key
+        // keys nothing reads.
+        let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
+        let params = DefenseParams::new().with("tau", 0.5f32);
+        let schema = || [ParamSpec::new("tau", "attenuation factor", "1.0")];
+        let blind = FnDefenseFactory::new("blind", "Blind", |_| Box::new(SumAggregator))
+            .with_param_schema(schema())
+            .with_regularizer(|_ctx| Box::new(InertReg));
+        let err = blind.build(&ctx, &params).unwrap_err();
+        assert!(
+            err.contains("no closure reads") && err.contains("tau"),
+            "{err}"
+        );
+        // Without params the blind factory still builds.
+        assert!(blind.build(&ctx, &DefenseParams::new()).is_ok());
+        // Either closure reading the params lifts the refusal.
+        let aggregator_reads = FnDefenseFactory::parameterized("agg-reads", "AggReads", |_, _| {
+            Box::new(SumAggregator)
+        })
+        .with_param_schema(schema());
+        assert!(aggregator_reads.build(&ctx, &params).is_ok());
+        let regularizer_reads =
+            FnDefenseFactory::new("reg-reads", "RegReads", |_| Box::new(SumAggregator))
+                .with_param_schema(schema())
+                .with_params_regularizer(|_, _, _| Box::new(InertReg));
+        assert!(regularizer_reads.build(&ctx, &params).is_ok());
+    }
+
+    #[test]
     fn params_aware_regularizer_sees_params_and_ids() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc as StdArc;
 
-        let seen = StdArc::new(AtomicUsize::new(0));
-        let seen2 = StdArc::clone(&seen);
-        register_defense(
+        let seen = Arc::new(AtomicUsize::new(0));
+        let seen2 = Arc::clone(&seen);
+        register(
             FnDefenseFactory::new("param-client", "ParamClient", |_| Box::new(SumAggregator))
                 .with_param_schema([ParamSpec::new("tau", "attenuation factor", "1.0")])
                 .with_params_regularizer(move |_ctx, params, client_id| {
@@ -746,181 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_surface_through_selections() {
-        register_defense(FnDefenseFactory::fingerprinted(
-            "fp-defense",
-            "FpDefense",
-            "threshold=0.25",
-            |_| Box::new(SumAggregator),
-        ));
-        assert_eq!(
-            DefenseSel::named("fp-defense").fingerprint().as_deref(),
-            Some("threshold=0.25")
-        );
-        assert!(DefenseSel::named("sum-again-absent")
-            .fingerprint()
-            .is_none());
-        assert!(DefenseSel::from(DefenseKind::Ours).fingerprint().is_none());
-    }
-
-    #[test]
-    fn sel_compares_and_serializes() {
-        let sel: DefenseSel = DefenseKind::Ours.into();
-        assert_eq!(sel, DefenseKind::Ours);
-        assert!(sel.is_client_side());
-        assert!(DefenseSel::none().is_no_defense());
-        let v = serde::Serialize::to_value(&sel);
-        assert_eq!(v.as_str(), Some("ours"));
-        let back: DefenseSel = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, sel);
-    }
-
-    #[test]
-    fn parameterized_sel_serializes_as_object_and_round_trips() {
-        let sel = DefenseSel::named("ours")
-            .with_param("beta", 0.9f32)
-            .with_param("re2", false);
-        let v = serde::Serialize::to_value(&sel);
-        let obj = v.as_object().expect("object form");
-        assert_eq!(obj.get("name").and_then(|n| n.as_str()), Some("ours"));
-        let back: DefenseSel = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, sel);
-        // Canonical text is stable regardless of insertion order.
-        let sel2 = DefenseSel::named("ours")
-            .with_param("re2", false)
-            .with_param("beta", 0.9f32);
-        assert_eq!(
-            serde_json_canonical(&sel),
-            serde_json_canonical(&sel2),
-            "sorted-key params canonicalize identically"
-        );
-        // A params difference is a selection difference.
-        assert_ne!(sel, DefenseSel::named("ours").with_param("beta", 1.0f32));
-        // …but name-vs-kind comparison ignores params.
-        assert_eq!(sel, DefenseKind::Ours);
-    }
-
-    fn serde_json_canonical(sel: &DefenseSel) -> String {
-        // Local mini-canonicalizer: Display is already canonical for params
-        // (sorted BTreeMap), so the CLI form doubles as a canonical text.
-        sel.to_string()
-    }
-
-    #[test]
-    fn parses_cli_specs() {
-        assert_eq!(
-            DefenseSel::parse("ours").unwrap(),
-            DefenseSel::named("ours")
-        );
-        let sel = DefenseSel::parse("ours:beta=0.9,re2=false,top_n=5").unwrap();
-        assert_eq!(sel.name(), "ours");
-        assert_eq!(sel.params().get_f32("beta").unwrap(), Some(0.9));
-        assert_eq!(sel.params().get_bool("re2").unwrap(), Some(false));
-        assert_eq!(sel.params().get_usize("top_n").unwrap(), Some(5));
-        assert_eq!(sel.to_string(), "ours:beta=0.9,re2=false,top_n=5");
-        assert_eq!(DefenseSel::parse(&sel.to_string()).unwrap(), sel);
-
-        assert!(DefenseSel::parse("").is_err());
-        assert!(DefenseSel::parse("ours:beta").is_err());
-        assert!(DefenseSel::parse(":beta=1").is_err());
-    }
-
-    #[test]
-    fn f32_params_key_like_their_cli_spelling() {
-        // `0.9f32 as f64` would be 0.90000003…, addressing a different
-        // cache cell than the CLI's `beta=0.9`; the From impl converts via
-        // the shortest decimal instead, and get_f32 rounds back losslessly.
-        let programmatic = DefenseSel::named("ours").with_param("beta", 0.9f32);
-        let cli = DefenseSel::parse("ours:beta=0.9").unwrap();
-        assert_eq!(programmatic, cli);
-        assert_eq!(programmatic.to_string(), "ours:beta=0.9");
-        assert_eq!(programmatic.params().get_f32("beta").unwrap(), Some(0.9));
-    }
-
-    #[test]
-    fn whole_floats_normalize_to_ints_across_all_paths() {
-        // NCF's tuned weights are integral (β=5, γ=10): the CLI text, the
-        // programmatic f32/f64, and the JSON wire form must all land on the
-        // same variant — and therefore the same canonical bytes/cache key.
-        let cli = DefenseSel::parse("ours:beta=5").unwrap();
-        let from_f32 = DefenseSel::named("ours").with_param("beta", 5.0f32);
-        let from_f64 = DefenseSel::named("ours").with_param("beta", 5.0f64);
-        assert_eq!(cli, from_f32);
-        assert_eq!(cli, from_f64);
-        assert_eq!(from_f32.params().get_f32("beta").unwrap(), Some(5.0));
-        // Display/parse round-trips.
-        assert_eq!(DefenseSel::parse(&from_f32.to_string()).unwrap(), from_f32);
-        // Wire form: a JSON 5.0 deserializes to the same selection.
-        let wire: ParamValue =
-            serde::Deserialize::from_value(&serde::Value::Number(serde::Number::F64(5.0))).unwrap();
-        assert_eq!(wire, ParamValue::Int(5));
-        // Fractional values stay floats and round-trip too.
-        let frac = DefenseSel::named("ours").with_param("beta", 0.9f32);
-        assert_eq!(DefenseSel::parse(&frac.to_string()).unwrap(), frac);
-        // The CLI text `beta=5.0` normalizes like everything else, and a
-        // serialize/deserialize round trip is idempotent.
-        let cli_float = DefenseSel::parse("ours:beta=5.0").unwrap();
-        assert_eq!(cli_float, cli);
-        let wire_rt: DefenseSel =
-            serde::Deserialize::from_value(&serde::Serialize::to_value(&cli_float)).unwrap();
-        assert_eq!(wire_rt, cli_float);
-    }
-
-    #[test]
     fn f32_overflow_is_a_clean_error_not_infinity() {
         // 1e39 is a finite f64 but narrows to f32::INFINITY — it must not
         // slip past the finiteness guards as an "infinite β".
-        let params = DefenseParams::new().with("beta", 1e39f64);
-        assert!(params.get_f32("beta").unwrap_err().contains("f32"));
-        assert_eq!(params.get_f64("beta").unwrap(), Some(1e39));
         let sel = DefenseSel::parse("ours:beta=1e39").unwrap();
         let err = sel
             .try_build(&DefenseBuildCtx::minimal(0.05, 0.05))
             .unwrap_err();
         assert!(err.contains("f32"), "{err}");
-    }
-
-    #[test]
-    fn non_finite_params_are_rejected() {
-        // CLI: `nan`/`inf` parse as strings (they would canonicalize to
-        // JSON null and collide cache keys), so typed accessors error.
-        assert_eq!(ParamValue::parse("nan"), ParamValue::Str("nan".into()));
-        assert_eq!(ParamValue::parse("-inf"), ParamValue::Str("-inf".into()));
-        let params = DefenseParams::new().with("beta", ParamValue::parse("nan"));
-        assert!(params.get_f32("beta").is_err());
-        // Wire form: a non-finite number fails deserialization.
-        let bad: Result<ParamValue, _> =
-            serde::Deserialize::from_value(&serde::Value::Number(serde::Number::F64(f64::NAN)));
-        assert!(bad.is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be finite")]
-    fn non_finite_programmatic_params_panic() {
-        let _ = DefenseParams::new().with("beta", f64::INFINITY);
-    }
-
-    #[test]
-    fn param_value_types_round_trip_and_check() {
-        let params = DefenseParams::new()
-            .with("b", true)
-            .with("f", 0.5f32)
-            .with("i", 7usize)
-            .with("s", "hello");
-        assert_eq!(params.get_bool("b").unwrap(), Some(true));
-        assert_eq!(params.get_f32("f").unwrap(), Some(0.5));
-        assert_eq!(params.get_f64("i").unwrap(), Some(7.0));
-        assert_eq!(params.get_usize("i").unwrap(), Some(7));
-        assert!(params.get_bool("f").is_err());
-        assert!(params.get_f32("s").is_err());
-        assert!(params.get_usize("f").is_err());
-        assert_eq!(params.get_f32("missing").unwrap(), None);
-        assert!(params.check_known(&["b", "f", "i", "s"], "t").is_ok());
-        let err = params.check_known(&["b"], "t").unwrap_err();
-        assert!(err.contains("unknown parameter"), "{err}");
-
-        let v = serde::Serialize::to_value(&params);
-        let back: DefenseParams = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, params);
     }
 }

@@ -40,9 +40,12 @@
 // binary's command dispatch.
 #![allow(clippy::exit)]
 
+use frs_attacks::AttackKind;
+use frs_defense::DefenseKind;
 use frs_experiments::paper::PaperCommand;
 use frs_experiments::suite::ExecOptions;
 use frs_experiments::{CommonArgs, JsonlSink, Report, ReportFormat, SuiteCache};
+use frs_federation::registry::{Factory, Kind, Registry};
 use frs_federation::CoreBudget;
 
 fn print_usage() {
@@ -69,39 +72,18 @@ fn print_usage() {
     }
 }
 
-/// `paper defenses list`: every registered defense with its label, side,
-/// and parameter schema (the keys `--defense name:k=v,…` accepts).
-fn defenses_list() {
-    println!("{:<14} {:<14} {:<7} params", "name", "label", "side");
-    for name in frs_defense::registered_defenses() {
-        let Some(factory) = frs_defense::defense_factory(&name) else {
-            continue;
-        };
-        let side = if factory.is_client_side() {
-            "client"
-        } else {
-            "server"
-        };
-        let schema = factory.param_schema();
-        let params = if schema.is_empty() {
-            "-".to_string()
-        } else {
-            schema
-                .iter()
-                .map(|p| format!("{} ({}; default: {})", p.key, p.doc, p.default))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        println!("{:<14} {:<14} {:<7} {params}", name, factory.label(), side);
-    }
-}
-
-/// `paper attacks list`: every registered attack with its table label and
-/// parameter schema (the keys `--attack name:k=v,…` accepts).
-fn attacks_list() {
-    println!("{:<22} {:<14} params", "name", "label");
-    for name in frs_attacks::registered_attacks() {
-        let Some(factory) = frs_attacks::attack_factory(&name) else {
+/// `paper attacks list` / `paper defenses list`: every registered factory
+/// of kind `K` with its table label, the `side` column when `side` is given,
+/// and its parameter schema (the keys `--attack`/`--defense name:k=v,…`
+/// accepts).
+fn list_factories<K: Kind>(name_width: usize, side: Option<fn(&K::Factory) -> &'static str>) {
+    let row = |name: &str, label: &str, side: Option<&str>, params: &str| match side {
+        Some(side) => println!("{name:<name_width$} {label:<14} {side:<7} {params}"),
+        None => println!("{name:<name_width$} {label:<14} {params}"),
+    };
+    row("name", "label", side.map(|_| "side"), "params");
+    for name in Registry::<K>::names() {
+        let Some(factory) = Registry::<K>::get(&name) else {
             continue;
         };
         let schema = factory.param_schema();
@@ -114,12 +96,7 @@ fn attacks_list() {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
-        println!(
-            "{:<22} {:<14} {params}",
-            name,
-            factory.label(),
-            params = params
-        );
+        row(&name, factory.label(), side.map(|f| f(&factory)), &params);
     }
 }
 
@@ -463,9 +440,18 @@ fn main() {
                 }
             }
             if cmd == "defenses" {
-                defenses_list();
+                list_factories::<DefenseKind>(
+                    14,
+                    Some(|f| {
+                        if f.is_client_side() {
+                            "client"
+                        } else {
+                            "server"
+                        }
+                    }),
+                );
             } else {
-                attacks_list();
+                list_factories::<AttackKind>(22, None);
             }
             return;
         }
@@ -486,32 +472,23 @@ fn main() {
         },
     };
 
-    // Validate an --attack override up front with a full try-build probe
-    // (count = 0: params are validated, no client is constructed): unknown
-    // names, typo'd keys, and mistyped/out-of-range values are all a clean
-    // exit 2 instead of a worker panic three cells into a sweep. Unlike
-    // defenses, every attack the paper CLI can sweep — the table6/table9
-    // ablation variants included — is a builtin catalog entry, so an
-    // unresolved name here is always an error.
+    // Validate --attack and --defense overrides up front with a full
+    // try-build probe against a neutral context (count = 0 for attacks:
+    // params are validated, no client is constructed): unknown names,
+    // typo'd keys, and mistyped/out-of-range values are all a clean exit 2
+    // instead of a worker panic three cells into a sweep. Every factory the
+    // paper CLI can sweep — the table6/table9 ablation variants included —
+    // is a builtin catalog entry, so an unresolved name is always an error.
     if let Some(sel) = &args.attack {
-        if let Err(e) = sel.try_build_clients(&frs_attacks::AttackBuildCtx::minimal(0, 0, &[])) {
+        if let Err(e) = sel.try_build(&frs_attacks::AttackBuildCtx::minimal(0, 0, &[])) {
             eprintln!("bad --attack {sel}: {e}");
             std::process::exit(2);
         }
     }
-
-    // Validate a --defense override up front when the name already resolves
-    // (built-ins always do): typo'd keys, mistyped values, and out-of-range
-    // parameters should all be a clean exit, not a worker panic three cells
-    // into a sweep — so probe a full build against a neutral context.
-    // Unregistered names are left to runtime — table6/table9-style
-    // factories register during suite declaration.
     if let Some(sel) = &args.defense {
-        if sel.resolve().is_some() {
-            if let Err(e) = sel.try_build(&frs_defense::DefenseBuildCtx::minimal(0.05, 0.05)) {
-                eprintln!("bad --defense {sel}: {e}");
-                std::process::exit(2);
-            }
+        if let Err(e) = sel.try_build(&frs_defense::DefenseBuildCtx::minimal(0.05, 0.05)) {
+            eprintln!("bad --defense {sel}: {e}");
+            std::process::exit(2);
         }
     }
 

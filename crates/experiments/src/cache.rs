@@ -34,7 +34,7 @@
 //! defenses live in the config as registry *names* (`AttackSel` /
 //! `DefenseSel`), so by itself the key cannot see a factory's closed-over
 //! behaviour. Factories may declare an optional behaviour **fingerprint**
-//! (`AttackFactory::fingerprint` / `DefenseFactory::fingerprint`), which
+//! (`frs_federation::registry::Factory::fingerprint`), which
 //! [`scenario_key`] hashes alongside the config — re-registering a name
 //! with different parameters then re-keys every affected cell, as the
 //! `paper` ablation suites do. A factory without a fingerprint keeps
@@ -900,54 +900,58 @@ mod tests {
 
     #[test]
     fn factory_fingerprints_re_key_same_name_registrations() {
-        use frs_attacks::{register_attack, AttackSel, FnAttackFactory};
+        use frs_attacks::{AttackKind, AttackSel, FnAttackFactory, Registry};
+        use std::sync::Arc;
 
         let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
         cfg.attack = AttackSel::named("fp-cache-probe");
         // Unregistered and fingerprint-less registrations address by name
         // alone — and identically.
         let unregistered = scenario_key(&cfg);
-        register_attack(FnAttackFactory::new("fp-cache-probe", "Probe", |_| {
-            Vec::new()
-        }));
+        Registry::<AttackKind>::register(Arc::new(FnAttackFactory::new(
+            "fp-cache-probe",
+            "Probe",
+            |_| Vec::new(),
+        )));
         assert_eq!(unregistered, scenario_key(&cfg));
 
         // A fingerprint joins the hash payload…
-        register_attack(FnAttackFactory::fingerprinted(
+        Registry::<AttackKind>::register(Arc::new(FnAttackFactory::fingerprinted(
             "fp-cache-probe",
             "Probe",
             "lambda=1.0",
             |_| Vec::new(),
-        ));
+        )));
         let v1 = scenario_key(&cfg);
         assert_ne!(unregistered, v1);
 
         // …and re-registering the same name with different parameters
         // addresses different entries (the staleness hole this closes).
-        register_attack(FnAttackFactory::fingerprinted(
+        Registry::<AttackKind>::register(Arc::new(FnAttackFactory::fingerprinted(
             "fp-cache-probe",
             "Probe",
             "lambda=2.0",
             |_| Vec::new(),
-        ));
+        )));
         let v2 = scenario_key(&cfg);
         assert_ne!(v1, v2);
 
         // Re-registering the original parameters restores the original key.
-        register_attack(FnAttackFactory::fingerprinted(
+        Registry::<AttackKind>::register(Arc::new(FnAttackFactory::fingerprinted(
             "fp-cache-probe",
             "Probe",
             "lambda=1.0",
             |_| Vec::new(),
-        ));
+        )));
         assert_eq!(v1, scenario_key(&cfg));
     }
 
     #[test]
     fn newline_fingerprints_cannot_forge_the_payload() {
-        use frs_attacks::{register_attack, AttackSel, FnAttackFactory};
-        use frs_defense::{register_defense, DefenseSel, FnDefenseFactory};
+        use frs_attacks::{AttackKind, AttackSel, FnAttackFactory, Registry};
+        use frs_defense::{DefenseKind, DefenseSel, FnDefenseFactory};
         use frs_federation::SumAggregator;
+        use std::sync::Arc;
 
         // Attack fingerprint embedding the defense label line vs. the same
         // strings split across the two real fingerprints: the payloads
@@ -955,46 +959,49 @@ mod tests {
         let mut forged = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
         forged.attack = AttackSel::named("forge-attack");
         forged.defense = DefenseSel::named("forge-defense");
-        register_attack(FnAttackFactory::fingerprinted(
+        Registry::<AttackKind>::register(Arc::new(FnAttackFactory::fingerprinted(
             "forge-attack",
             "Forge",
             "x\ndefense-fingerprint:y",
             |_| Vec::new(),
-        ));
-        register_defense(FnDefenseFactory::new("forge-defense", "Forge", |_| {
-            Box::new(SumAggregator)
-        }));
+        )));
+        Registry::<DefenseKind>::register(Arc::new(FnDefenseFactory::new(
+            "forge-defense",
+            "Forge",
+            |_| Box::new(SumAggregator),
+        )));
         let key_forged = scenario_key(&forged);
 
-        register_attack(FnAttackFactory::fingerprinted(
+        Registry::<AttackKind>::register(Arc::new(FnAttackFactory::fingerprinted(
             "forge-attack",
             "Forge",
             "x",
             |_| Vec::new(),
-        ));
-        register_defense(FnDefenseFactory::fingerprinted(
+        )));
+        Registry::<DefenseKind>::register(Arc::new(FnDefenseFactory::fingerprinted(
             "forge-defense",
             "Forge",
             "y",
             |_| Box::new(SumAggregator),
-        ));
+        )));
         assert_ne!(key_forged, scenario_key(&forged));
     }
 
     #[test]
     fn defense_fingerprints_also_re_key() {
-        use frs_defense::{register_defense, DefenseSel, FnDefenseFactory};
+        use frs_defense::{DefenseKind, DefenseSel, FnDefenseFactory, Registry};
         use frs_federation::SumAggregator;
+        use std::sync::Arc;
 
         let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
         cfg.defense = DefenseSel::named("fp-cache-defense");
         let unfingerprinted = scenario_key(&cfg);
-        register_defense(FnDefenseFactory::fingerprinted(
+        Registry::<DefenseKind>::register(Arc::new(FnDefenseFactory::fingerprinted(
             "fp-cache-defense",
             "Probe",
             "tau=0.1",
             |_| Box::new(SumAggregator),
-        ));
+        )));
         assert_ne!(unfingerprinted, scenario_key(&cfg));
     }
 

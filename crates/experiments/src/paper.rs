@@ -3,7 +3,7 @@
 //! Every command is a declarative [`ExperimentSuite`] (or a bespoke report
 //! builder) over registry selections: the ablation tables (VI, IX) sweep
 //! the parameterized catalog entries `frs_attacks::variants` registers at
-//! startup — zero runtime `register_attack` calls, so their cells rebuild
+//! startup — zero runtime registrations, so their cells rebuild
 //! from serialized configs alone. A few figures (3, 4, 6b) and Table II
 //! need direct simulation access and build their [`Report`] by hand; every
 //! command renders through the same Markdown/CSV/JSON sinks.
@@ -939,7 +939,7 @@ fn fig6b(
     for r in result.all_cells() {
         let label = if r.cell.defense == DefenseKind::Ours {
             "DEFENSE(ours)".to_string()
-        } else if r.cell.attack.is_no_attack() {
+        } else if r.cell.attack.is_none() {
             "No(Att.&Def.)".to_string()
         } else {
             r.cell.attack.label()
@@ -1037,10 +1037,10 @@ mod tests {
     fn ablation_attacks_are_builtin_catalog_entries() {
         // The names resolve from a cold registry, *before* any suite is
         // declared: table6/table9 perform zero runtime registrations.
-        assert!(frs_attacks::attack_factory("ipe-ablation-pkl").is_some());
-        assert!(frs_attacks::attack_factory("ipe-ablation-full").is_some());
-        assert!(frs_attacks::attack_factory("pieck-uea-copy").is_some());
-        assert!(frs_attacks::attack_factory("pieck-ipe-together").is_some());
+        assert!(frs_attacks::Registry::<AttackKind>::get("ipe-ablation-pkl").is_some());
+        assert!(frs_attacks::Registry::<AttackKind>::get("ipe-ablation-full").is_some());
+        assert!(frs_attacks::Registry::<AttackKind>::get("pieck-uea-copy").is_some());
+        assert!(frs_attacks::Registry::<AttackKind>::get("pieck-ipe-together").is_some());
         // And every cell the ablation suites materialize builds cleanly
         // from its serialized config alone.
         for suite in [table6(), table9()] {
@@ -1048,7 +1048,7 @@ mod tests {
                 let ctx = cell.config.attack_ctx(0, 0, &[]);
                 cell.config
                     .attack
-                    .try_build_clients(&ctx)
+                    .try_build(&ctx)
                     .unwrap_or_else(|e| panic!("{}: {e}", cell.config.attack));
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! Attacks and defenses are referenced by *registry name* through
 //! [`AttackSel`] / [`DefenseSel`], so scenarios serialize to plain data and
-//! out-of-crate attacks registered via `frs_attacks::register_attack` run
+//! out-of-crate attacks registered via `frs_attacks::Registry::register` run
 //! through the same path as the paper's built-ins. The legacy enums still
 //! convert into selections with `.into()`.
 
@@ -108,7 +108,7 @@ impl ScenarioConfig {
 
     /// Number of malicious clients so that `p̃ = n_mal/(n_benign + n_mal)`.
     pub fn n_malicious(&self, n_benign: usize) -> usize {
-        if self.attack.is_no_attack() || self.malicious_ratio <= 0.0 {
+        if self.attack.is_none() || self.malicious_ratio <= 0.0 {
             return 0;
         }
         let p = self.malicious_ratio.min(0.9);

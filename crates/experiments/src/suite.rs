@@ -24,8 +24,8 @@
 //! canonical params payload ([`DefenseSel`], e.g. `ours:beta=0.9`), variant
 //! axes are [`ConfigPatch`] value patches. A suite can therefore be written
 //! to JSON, inspected, or rebuilt elsewhere — and an attack or defense
-//! registered at runtime via `frs_attacks::register_attack` /
-//! `frs_defense::register_defense` sweeps exactly like a builtin.
+//! registered at runtime via `frs_federation::registry::Registry::register`
+//! sweeps exactly like a builtin.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -129,66 +129,34 @@ impl ConfigPatch {
         if let Some(v) = self.norm_bound_threshold {
             cfg.norm_bound_threshold = v;
         }
-        // Attack hyper-parameters route through the selection's canonical
-        // params payload, mirroring the defense knobs below: a key is
-        // applied only when the cell's resolved attack declares it, so an
+        // Attack and defense hyper-parameters route through the selections'
+        // canonical params payloads. A key is offered to each selection and
+        // applied only when the cell's resolved factory declares it, so an
         // inert knob flip (poison scale on the no-attack baseline, mined N
         // on a mining-free attack) cannot re-key — and thereby duplicate —
-        // cache cells whose outcome it cannot change. (Unresolved names
-        // accept everything; the build still rejects strays.)
-        let attack_accepts = |cfg: &ScenarioConfig, key: &str| match cfg.attack.resolve() {
-            Some(factory) => factory.param_schema().iter().any(|spec| spec.key == key),
-            None => true,
-        };
+        // cache cells whose outcome it cannot change, and a `--defense krum`
+        // override running through table6's `ours`-specific ablation
+        // variants skips the inapplicable switches instead of panicking
+        // mid-sweep. The mined-N override is shared: the paper's defense
+        // mines with the same `N` as the attacker (Section V-B).
         if let Some(v) = self.mined_top_n {
-            if attack_accepts(cfg, "top_n") {
-                cfg.attack.set_param("top_n", v);
-            }
+            cfg.attack.offer_param("top_n", v);
+            cfg.defense.offer_param("top_n", v);
         }
         if let Some(v) = self.poison_scale {
-            if attack_accepts(cfg, "scale") {
-                cfg.attack.set_param("scale", v);
-            }
+            cfg.attack.offer_param("scale", v);
         }
-        // Defense hyper-parameters route through the selection's canonical
-        // params payload — the registry API every defense (the paper's
-        // included) is configured by. A key is applied only when the cell's
-        // resolved defense declares it, so a `--defense krum` override
-        // running through table6's `ours`-specific ablation variants skips
-        // the inapplicable switches instead of panicking mid-sweep.
-        // (Unresolved names accept everything — their schema is unknowable
-        // here; the build still rejects strays.)
-        let accepts = |cfg: &ScenarioConfig, key: &str| match cfg.defense.resolve() {
-            Some(factory) => factory.param_schema().iter().any(|spec| spec.key == key),
-            None => true,
-        };
         if let Some(v) = self.use_re1 {
-            if accepts(cfg, "re1") {
-                cfg.defense.set_param("re1", v);
-            }
+            cfg.defense.offer_param("re1", v);
         }
         if let Some(v) = self.use_re2 {
-            if accepts(cfg, "re2") {
-                cfg.defense.set_param("re2", v);
-            }
+            cfg.defense.offer_param("re2", v);
         }
         if let Some(v) = self.beta {
-            if accepts(cfg, "beta") {
-                cfg.defense.set_param("beta", v);
-            }
+            cfg.defense.offer_param("beta", v);
         }
         if let Some(v) = self.gamma {
-            if accepts(cfg, "gamma") {
-                cfg.defense.set_param("gamma", v);
-            }
-        }
-        // The mined-N override is shared: the paper's defense mines with
-        // the same `N` as the attacker (Section V-B), so a defense whose
-        // schema declares `top_n` receives the override too.
-        if let Some(v) = self.mined_top_n {
-            if accepts(cfg, "top_n") {
-                cfg.defense.set_param("top_n", v);
-            }
+            cfg.defense.offer_param("gamma", v);
         }
     }
 }

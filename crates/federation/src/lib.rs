@@ -34,6 +34,7 @@ pub mod context;
 pub mod params;
 pub mod pool;
 pub mod population;
+pub mod registry;
 pub mod server;
 pub mod stats;
 pub mod wire;

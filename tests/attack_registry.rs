@@ -7,8 +7,10 @@
 //! `AttackKind` — registers through `register_attack` and runs end to end
 //! through an `ExperimentSuite`.
 
+use std::sync::Arc;
+
 use pieck_frs::attacks::{
-    register_attack, AttackKind, AttackSel, FnAttackFactory, ParamSpec, ScaledClient,
+    AttackKind, AttackSel, FnAttackFactory, ParamSpec, Registry, ScaledClient,
 };
 use pieck_frs::data::DatasetSpec;
 use pieck_frs::experiments::cache::scenario_key;
@@ -178,7 +180,7 @@ impl Client for FloodClient {
 
 #[test]
 fn out_of_crate_parameterized_attack_runs_through_a_suite() {
-    register_attack(
+    Registry::<AttackKind>::register(Arc::new(
         FnAttackFactory::parameterized("flood", "Flood", |ctx, params| {
             let strength = params.get_f32("strength")?.unwrap_or(0.2);
             if strength < 0.0 {
@@ -198,7 +200,7 @@ fn out_of_crate_parameterized_attack_runs_through_a_suite() {
         // PR-3 contract: runtime registrations fingerprint themselves so
         // same-name re-registrations re-key cached cells.
         .with_fingerprint("flood-v1 strength-default=0.2"),
-    );
+    ));
 
     let suite = ExperimentSuite::new("custom-atk", "Custom attack suite").sweep(
         Sweep::new("grid", "inert vs full strength").over_attacks([
@@ -250,11 +252,11 @@ fn out_of_crate_parameterized_attack_runs_through_a_suite() {
     assert_eq!(event_params, ["strength=0", "strength=0.3"]);
     assert!(result.report().to_markdown().contains("Flood"));
 
-    // Bad values surface as clean errors through try_build_clients, the
+    // Bad values surface as clean errors through try_build, the
     // same path the CLI probes at startup.
     let bad = AttackSel::named("flood").with_param("strength", "huge");
     let probe = pieck_frs::attacks::AttackBuildCtx::minimal(0, 0, &[]);
-    assert!(bad.try_build_clients(&probe).is_err());
+    assert!(bad.try_build(&probe).is_err());
 }
 
 /// A parameterized attack selection round-trips through the scenario config
@@ -378,7 +380,7 @@ fn run_level_attack_override_collapses_the_axis() {
         "top_n is skipped, scale applies"
     );
     let ctx = ara[0].config.attack_ctx(0, 0, &[]);
-    assert!(ara[0].config.attack.try_build_clients(&ctx).is_ok());
+    assert!(ara[0].config.attack.try_build(&ctx).is_ok());
     let none = knobs.expand(&RunOptions {
         rounds: Some(1),
         attack: Some(AttackSel::named("none")),

@@ -7,9 +7,12 @@
 
 use std::sync::Arc;
 
-use pieck_frs::attacks::AttackKind;
+use pieck_frs::attacks::{AttackBuildCtx, AttackFactory, AttackKind, AttackParams, AttackSel};
 use pieck_frs::data::DatasetSpec;
-use pieck_frs::defense::{register_defense, DefenseKind, DefenseSel, FnDefenseFactory, ParamSpec};
+use pieck_frs::defense::{
+    DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseKind, DefenseParams, DefenseSel,
+    Factory, FnDefenseFactory, ParamSpec, Registry,
+};
 use pieck_frs::experiments::cache::scenario_key;
 use pieck_frs::experiments::scenario::{self, build_world, ScenarioConfig};
 use pieck_frs::experiments::{ExperimentSuite, RunOptions, Sweep};
@@ -145,7 +148,7 @@ impl LocalRegularizer for Attenuator {
 
 #[test]
 fn out_of_crate_client_side_defense_runs_through_a_suite() {
-    register_defense(
+    Registry::<DefenseKind>::register(Arc::new(
         FnDefenseFactory::new("attenuate", "Attenuate", |_| Box::new(SumAggregator))
             .with_param_schema([ParamSpec::new("tau", "upload scale factor", "1.0")])
             .with_params_regularizer(|_ctx, params, _client_id| {
@@ -159,8 +162,11 @@ fn out_of_crate_client_side_defense_runs_through_a_suite() {
             // PR-3 contract: runtime registrations fingerprint themselves so
             // same-name re-registrations re-key cached cells.
             .with_fingerprint("attenuate-v1 tau-default=1.0"),
-    );
-    assert!(DefenseSel::named("attenuate").is_client_side());
+    ));
+    assert!(DefenseSel::named("attenuate")
+        .resolve()
+        .unwrap()
+        .is_client_side());
 
     let suite = ExperimentSuite::new("custom-def", "Custom defense suite").sweep(
         Sweep::new("grid", "none vs attenuated").over_defenses([
@@ -374,4 +380,73 @@ fn config_patch_defense_knobs_route_into_selection_params() {
     cfg.rounds = 4;
     let out = scenario::run(&cfg);
     assert!(out.er_percent.is_finite() && out.hr_percent.is_finite());
+}
+
+/// Out-of-crate factories that declare a schema but "forget" the
+/// `check_known` preamble: one of each family.
+struct LazyAttack;
+impl Factory for LazyAttack {
+    fn name(&self) -> &str {
+        "lazy-attack"
+    }
+    fn param_schema(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::new("k", "the only key", "1")]
+    }
+}
+impl AttackFactory for LazyAttack {
+    fn build_clients(
+        &self,
+        _ctx: &AttackBuildCtx<'_>,
+        _params: &AttackParams,
+    ) -> Result<Vec<Box<dyn Client>>, String> {
+        Ok(Vec::new())
+    }
+}
+
+struct LazyDefense;
+impl Factory for LazyDefense {
+    fn name(&self) -> &str {
+        "lazy-defense"
+    }
+    fn param_schema(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::new("k", "the only key", "1")]
+    }
+}
+impl DefenseFactory for LazyDefense {
+    fn build(
+        &self,
+        _ctx: &DefenseBuildCtx,
+        _params: &DefenseParams,
+    ) -> Result<DefenseInstance, String> {
+        Ok(DefenseInstance::server(Box::new(SumAggregator)))
+    }
+}
+
+#[test]
+fn selection_path_validates_schema_even_for_lazy_factories() {
+    Registry::<AttackKind>::register(Arc::new(LazyAttack));
+    Registry::<DefenseKind>::register(Arc::new(LazyDefense));
+    let attack_ctx = AttackBuildCtx::minimal(0, 0, &[]);
+    let defense_ctx = DefenseBuildCtx::minimal(0.05, 1.0);
+    // The selection path rejects typo'd keys structurally for both kinds…
+    let err = AttackSel::named("lazy-attack")
+        .with_param("kk", 1u64)
+        .try_build(&attack_ctx)
+        .err()
+        .unwrap();
+    assert!(err.contains("unknown parameter"), "{err}");
+    let err = DefenseSel::named("lazy-defense")
+        .with_param("kk", 1u64)
+        .try_build(&defense_ctx)
+        .unwrap_err();
+    assert!(err.contains("unknown parameter"), "{err}");
+    // …and declared keys still pass through.
+    assert!(AttackSel::named("lazy-attack")
+        .with_param("k", 1u64)
+        .try_build(&attack_ctx)
+        .is_ok());
+    assert!(DefenseSel::named("lazy-defense")
+        .with_param("k", 1u64)
+        .try_build(&defense_ctx)
+        .is_ok());
 }

@@ -4,7 +4,9 @@
 //! alongside the built-ins; suite configurations round-trip through JSON;
 //! and the `paper` command declarations execute end to end at CI scale.
 
-use pieck_frs::attacks::{register_attack, AttackKind, AttackSel, FnAttackFactory};
+use std::sync::Arc;
+
+use pieck_frs::attacks::{AttackKind, AttackSel, FnAttackFactory, Registry};
 use pieck_frs::defense::DefenseKind;
 use pieck_frs::experiments::{
     Axis, ConfigPatch, ExperimentSuite, RunOptions, ScenarioConfig, Sweep,
@@ -52,7 +54,7 @@ fn tiny_opts(threads: usize) -> RunOptions {
 
 #[test]
 fn out_of_crate_attack_runs_through_a_suite() {
-    register_attack(FnAttackFactory::new("blast", "Blast", |ctx| {
+    Registry::<AttackKind>::register(Arc::new(FnAttackFactory::new("blast", "Blast", |ctx| {
         (0..ctx.count)
             .map(|i| {
                 Box::new(BlastClient {
@@ -61,7 +63,7 @@ fn out_of_crate_attack_runs_through_a_suite() {
                 }) as Box<dyn Client>
             })
             .collect()
-    }));
+    })));
 
     let suite = ExperimentSuite::new("custom", "Custom attack suite").sweep(
         Sweep::new("grid", "builtin vs registered")
