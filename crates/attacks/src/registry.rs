@@ -284,10 +284,6 @@ impl Kind for AttackKind {
     const NOUN: &'static str = "attack";
     const BASELINE: &'static str = "none";
 
-    fn name(&self) -> &'static str {
-        AttackKind::name(self)
-    }
-
     fn builtins() -> Vec<Arc<dyn AttackFactory>> {
         fn shared(factory: impl AttackFactory + 'static) -> Arc<dyn AttackFactory> {
             Arc::new(factory)

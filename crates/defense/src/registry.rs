@@ -377,10 +377,6 @@ impl Kind for DefenseKind {
     const NOUN: &'static str = "defense";
     const BASELINE: &'static str = "none";
 
-    fn name(&self) -> &'static str {
-        DefenseKind::name(self)
-    }
-
     fn builtins() -> Vec<Arc<dyn DefenseFactory>> {
         DefenseKind::all()
             .into_iter()

@@ -65,9 +65,9 @@ pub trait Factory: Send + Sync {
 }
 
 /// A factory family, implemented by its catalog enum. The enum's values
-/// are the family's builtin entries, so `Selection<K>` converts from and
-/// compares against them.
-pub trait Kind: 'static {
+/// are themselves factories — the family's builtin entries — so
+/// `Selection<K>` converts from and compares against them.
+pub trait Kind: Factory + 'static {
     /// The family's factory trait object (`dyn AttackFactory`, …).
     type Factory: ?Sized + Factory + 'static;
     /// What a build reads from the scenario.
@@ -78,9 +78,6 @@ pub trait Kind: 'static {
     const NOUN: &'static str;
     /// Registry name of the family's baseline entry (`none`).
     const BASELINE: &'static str;
-
-    /// Registry name of this catalog entry.
-    fn name(&self) -> &'static str;
 
     /// The factories a fresh registry of this kind holds.
     fn builtins() -> Vec<Arc<Self::Factory>>;
@@ -405,19 +402,21 @@ mod tests {
         }
     }
 
+    impl Factory for Toy {
+        fn name(&self) -> &str {
+            match self {
+                Toy::Plain => "plain",
+                Toy::Tunable => "tunable",
+            }
+        }
+    }
+
     impl Kind for Toy {
         type Factory = ToyFactory;
         type Ctx<'a> = ();
         type Output = Params;
         const NOUN: &'static str = "toy";
         const BASELINE: &'static str = "plain";
-
-        fn name(&self) -> &'static str {
-            match self {
-                Toy::Plain => "plain",
-                Toy::Tunable => "tunable",
-            }
-        }
 
         fn builtins() -> Vec<Arc<ToyFactory>> {
             vec![
