@@ -437,6 +437,19 @@ mod tests {
     }
 
     #[test]
+    fn sel_compares_and_serializes() {
+        let sel: DefenseSel = DefenseKind::Ours.into();
+        assert_eq!(sel, DefenseKind::Ours);
+        assert!(sel.resolve().unwrap().is_client_side());
+        assert!(DefenseSel::none().is_none());
+        assert_eq!(DefenseSel::none(), DefenseKind::NoDefense);
+        let v = serde::Serialize::to_value(&sel);
+        assert_eq!(v.as_str(), Some("ours"));
+        let back: DefenseSel = serde::Deserialize::from_value(&v).unwrap();
+        assert_eq!(back, sel);
+    }
+
+    #[test]
     fn custom_defense_round_trips() {
         register(FnDefenseFactory::new("sum-again", "SumAgain", |_| {
             Box::new(SumAggregator)
