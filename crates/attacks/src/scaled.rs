@@ -70,10 +70,6 @@ impl Client for ScaledClient {
         upload
     }
 
-    fn user_embedding(&self) -> Option<&[f32]> {
-        self.inner.user_embedding()
-    }
-
     fn checkpoint_state(&self) -> serde::Value {
         self.inner.checkpoint_state()
     }
@@ -117,7 +113,6 @@ mod tests {
         let scaled = ScaledClient::new(Box::new(ARaClient::new(7, vec![1], 2, 0)), 2.0);
         assert_eq!(scaled.id(), 7);
         assert!(scaled.is_malicious());
-        assert!(scaled.user_embedding().is_none());
     }
 
     #[test]

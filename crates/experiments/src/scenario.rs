@@ -13,7 +13,7 @@ use frs_attacks::{AttackBuildCtx, AttackSel};
 use frs_data::{leave_one_out, movielens, synth, DataSource, Dataset, DatasetSpec, TrainTestSplit};
 use frs_defense::{DefenseBuildCtx, DefenseSel};
 use frs_federation::{
-    Client, ClientPool, ClientsPerRound, CoreLease, FederationConfig, LazyClientPool, Simulation,
+    Client, ClientsPerRound, CoreLease, FederationConfig, LazyClientPool, Simulation,
 };
 use frs_metrics::{ExposureReport, QualityReport};
 use frs_model::{GlobalModel, ModelConfig, ModelKind};
@@ -266,7 +266,6 @@ fn load_dataset_file(path: &str) -> Dataset {
 pub fn build_simulation_with(
     cfg: &ScenarioConfig,
     train: Arc<Dataset>,
-    _targets: &[u32],
     malicious_builder: impl FnOnce(usize, usize) -> Vec<Box<dyn Client>>,
 ) -> Simulation {
     let mut rng = StdRng::seed_from_u64(cfg.federation.seed ^ 0x0DE1);
@@ -283,8 +282,7 @@ pub fn build_simulation_with(
 
     // Benign clients are *lazy*: only arena rows until sampled, so a cell
     // scales to millions of registered users without a million boxed
-    // clients. Seeds match what the eager `BenignClient::new` loop drew,
-    // so results are unchanged (the pools are bit-identical by contract).
+    // clients. The per-user seed function is part of every golden output.
     let seed = cfg.federation.seed;
     let pool = LazyClientPool::new(
         n_benign,
@@ -296,8 +294,7 @@ pub fn build_simulation_with(
         malicious,
     );
 
-    Simulation::builder(model)
-        .pool(ClientPool::Lazy(pool))
+    Simulation::builder(model, pool)
         .aggregator(defense.aggregator)
         .config(cfg.federation.clone())
         .build()
@@ -305,7 +302,7 @@ pub fn build_simulation_with(
 
 /// Assembles the client population and simulation for a config.
 pub fn build_simulation(cfg: &ScenarioConfig, train: Arc<Dataset>, targets: &[u32]) -> Simulation {
-    build_simulation_with(cfg, train, targets, |first_id, count| {
+    build_simulation_with(cfg, train, |first_id, count| {
         cfg.attack
             .build_clients(&cfg.attack_ctx(first_id, count, targets))
     })
@@ -329,7 +326,7 @@ pub fn run_with_lease(
 ) -> ScenarioOutcome {
     let (_full, split, targets) = build_world(cfg);
     let train = Arc::new(split.train.clone());
-    let mut sim = build_simulation_with(cfg, Arc::clone(&train), &targets, |first, count| {
+    let mut sim = build_simulation_with(cfg, Arc::clone(&train), |first, count| {
         malicious_builder(first, count, &targets)
     });
     sim.set_core_lease(lease);

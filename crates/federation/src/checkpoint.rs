@@ -12,12 +12,15 @@
 //! (`tests/checkpointing.rs` golden- and property-tests this across attack ×
 //! defense combinations).
 //!
-//! Client and regularizer state rides through the opaque
-//! [`serde::Value`] tree returned by the `checkpoint_state` /
-//! `restore_state` hooks on [`Client`](crate::Client),
-//! [`LocalRegularizer`](crate::LocalRegularizer), and
-//! [`Aggregator`](crate::Aggregator) — stateless implementations inherit the
-//! `Value::Null` defaults and need no code. The envelope is versioned
+//! The client pool writes one entry per client id: each benign user's arena
+//! embedding plus its regularizer's state (`Null` until the user is first
+//! sampled), then each attacker client's own state. Regularizer, attacker
+//! and aggregator state rides through the opaque [`serde::Value`] tree
+//! returned by the `checkpoint_state` / `restore_state` hooks on
+//! [`LocalRegularizer`](crate::LocalRegularizer),
+//! [`Client`](crate::Client), and [`Aggregator`](crate::Aggregator) —
+//! stateless implementations inherit the `Value::Null` defaults and need no
+//! code. The envelope is versioned
 //! ([`CHECKPOINT_FORMAT_VERSION`]) and its fields use the serde shim's
 //! `#[serde(default)]` so the format can grow fields without invalidating
 //! checkpoints already on disk.

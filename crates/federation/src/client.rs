@@ -26,12 +26,6 @@ pub trait Client: Send {
     /// return the gradient upload.
     fn local_round(&mut self, ctx: &RoundContext, model: &GlobalModel) -> GlobalGradients;
 
-    /// The private user embedding, when one exists (benign clients). Metrics
-    /// use this for evaluation; the server never does.
-    fn user_embedding(&self) -> Option<&[f32]> {
-        None
-    }
-
     /// Serializable snapshot of this client's *mutable* state, for
     /// mid-scenario checkpointing. The immutable parts (dataset, ids, seeds,
     /// hyper-parameters) are rebuilt deterministically from the scenario
@@ -83,8 +77,8 @@ pub trait LocalRegularizer: Send {
 
     /// Serializable snapshot of the regularizer's mutable state (mining
     /// history, accumulated Δ-Norms, …). Stateless regularizers keep the
-    /// `Value::Null` default. The owning [`BenignClient`] embeds this in its
-    /// own checkpoint state.
+    /// `Value::Null` default. The client pool embeds this in the owning
+    /// user's checkpoint state.
     fn checkpoint_state(&self) -> serde::Value {
         serde::Value::Null
     }
@@ -126,10 +120,9 @@ impl BenignClient {
         Self::from_parts(user_id, train, user_embedding, None)
     }
 
-    /// The seeded initial embedding draw, written in place, factored out so
-    /// arena-backed populations (see [`ClientPool`](crate::ClientPool))
-    /// initialize their rows bit-identically to eagerly constructed clients
-    /// without allocating a vector per user.
+    /// The seeded initial embedding draw, written in place, so the client
+    /// pool (see [`ClientPool`](crate::ClientPool)) initializes its arena
+    /// rows without allocating a vector per user.
     pub fn init_embedding(row: &mut [f32], init_scale: f32, seed: u64) {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -160,10 +153,10 @@ impl BenignClient {
         (self.user_embedding, self.regularizer)
     }
 
-    /// Installs the client-side defense (our Section V-B method).
-    pub fn with_regularizer(mut self, reg: Box<dyn LocalRegularizer>) -> Self {
-        self.regularizer = Some(reg);
-        self
+    /// The private user embedding (evaluation only; the server never reads
+    /// it).
+    pub fn user_embedding(&self) -> &[f32] {
+        &self.user_embedding
     }
 
     /// Mean BCE training loss over a local round dataset (diagnostics only).
@@ -285,56 +278,6 @@ impl Client for BenignClient {
         vector::axpy(-ctx.client_lr, &d_user, &mut self.user_embedding);
         grads
     }
-
-    fn user_embedding(&self) -> Option<&[f32]> {
-        Some(&self.user_embedding)
-    }
-
-    fn checkpoint_state(&self) -> serde::Value {
-        let state = BenignClientState {
-            user_embedding: self.user_embedding.clone(),
-            regularizer: match &self.regularizer {
-                Some(reg) => reg.checkpoint_state(),
-                None => serde::Value::Null,
-            },
-        };
-        serde::Serialize::to_value(&state)
-    }
-
-    fn restore_state(&mut self, state: &serde::Value) -> Result<(), String> {
-        let state: BenignClientState =
-            serde::Deserialize::from_value(state).map_err(|e| e.to_string())?;
-        if state.user_embedding.len() != self.user_embedding.len() {
-            return Err(format!(
-                "user {} embedding dim mismatch: checkpoint {}, simulation {}",
-                self.user_id,
-                state.user_embedding.len(),
-                self.user_embedding.len()
-            ));
-        }
-        self.user_embedding = state.user_embedding;
-        match (&mut self.regularizer, &state.regularizer) {
-            (Some(reg), v) => reg.restore_state(v),
-            (None, v) if v.is_null() => Ok(()),
-            (None, v) => Err(format!(
-                "user {} has no regularizer but checkpoint carries {}",
-                self.user_id,
-                v.kind()
-            )),
-        }
-    }
-}
-
-/// Serialized mutable state of a [`BenignClient`]. Shared with the lazy
-/// client pool, which emits the identical shape for arena-resident users so
-/// checkpoints are interchangeable between eager and lazy populations.
-#[derive(serde::Serialize, serde::Deserialize)]
-pub(crate) struct BenignClientState {
-    pub(crate) user_embedding: Vec<f32>,
-    /// The installed [`LocalRegularizer`]'s own state tree (`Null` when no
-    /// defense is installed or the defense is stateless).
-    #[serde(default)]
-    pub(crate) regularizer: serde::Value,
 }
 
 #[cfg(test)]
@@ -370,9 +313,9 @@ mod tests {
     #[test]
     fn user_embedding_moves_during_training() {
         let (model, mut client, ctx) = setup(LossKind::Bce);
-        let before = client.user_embedding().unwrap().to_vec();
+        let before = client.user_embedding().to_vec();
         client.local_round(&ctx, &model);
-        let after = client.user_embedding().unwrap();
+        let after = client.user_embedding();
         assert!(vector::l2_distance(&before, after) > 0.0);
     }
 
@@ -404,7 +347,7 @@ mod tests {
         }
         // After training, the mean positive logit should exceed the mean
         // logit of uninteracted probe items.
-        let u = client.user_embedding().unwrap();
+        let u = client.user_embedding();
         let pos_mean: f32 =
             positives.iter().map(|&j| model.logit(u, j)).sum::<f32>() / positives.len() as f32;
         let probe: Vec<u32> = (0..client.train.n_items() as u32)

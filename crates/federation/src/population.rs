@@ -1,26 +1,19 @@
-//! Client populations: eager boxes, or a lazily-materialized arena pool.
+//! The client population: benign users as arena rows, attackers as boxes.
 //!
-//! The original `Simulation` owned one boxed [`Client`] per user. At paper
-//! scale (thousands of users) that is fine; at the ROADMAP's million-client
-//! target it is 1M allocations of which a round touches a few hundred. A
-//! [`ClientPool`] abstracts the population behind the operations the server
-//! actually needs, with two implementations:
+//! The paper's threat model has two kinds of participant: every benign user
+//! trains a private embedding, and the server also admits a few arbitrary
+//! attacker clients. [`LazyClientPool`] models exactly that. Benign clients
+//! exist only as rows of a flat [`EmbeddingStore`] arena plus a seed
+//! function; a real [`BenignClient`] is constructed for exactly the sampled
+//! subset each round and torn back down into the arena afterwards, so a
+//! million registered users cost one arena, not a million boxes. Stateful
+//! client-side defenses persist across samplings in a sparse map, built on
+//! demand from a [`RegularizerFactory`]. Attacker-controlled clients stay
+//! materialized (they are few, stateful, and arbitrary types) in the id
+//! range above the benign users.
 //!
-//! - [`ClientPool::Eager`] — the original `Vec<Box<dyn Client>>`, still used
-//!   when callers hand the builder explicit client objects.
-//! - [`ClientPool::Lazy`] ([`LazyClientPool`]) — benign clients exist only
-//!   as rows of a flat [`EmbeddingStore`] arena plus a seed function; a
-//!   real [`BenignClient`] is constructed for exactly the sampled subset
-//!   each round and torn back down into the arena afterwards. Stateful
-//!   client-side defenses persist across samplings in a sparse map, built
-//!   on demand from a [`RegularizerFactory`]. Attacker-controlled clients
-//!   stay materialized (they are few, stateful, and arbitrary types).
-//!
-//! The two representations are **bit-identical** under every seed, width,
-//! and checkpoint cut: the arena rows are initialized by the same
-//! [`BenignClient::init_embedding`] draw the eager constructor uses, rounds
-//! run the same `local_round` code, and checkpoints serialize the same
-//! per-client state shape (`server::tests::lazy_pool_matches_eager_pool`).
+//! Arena rows are initialized by [`BenignClient::init_embedding`], the same
+//! draw [`BenignClient::new`] makes (`tests::lazy_arena_reproduces_eager_init`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,7 +21,7 @@ use std::sync::Arc;
 use frs_data::Dataset;
 use frs_model::{EmbeddingStore, GlobalGradients, GlobalModel};
 
-use crate::client::{BenignClient, BenignClientState, Client, LocalRegularizer};
+use crate::client::{BenignClient, Client, LocalRegularizer};
 use crate::context::RoundContext;
 use crate::pool;
 
@@ -37,10 +30,13 @@ use crate::pool;
 /// per-client mining state. The defense registry re-exports this type.
 pub type RegularizerFactory = Box<dyn Fn(usize) -> Box<dyn LocalRegularizer> + Send + Sync>;
 
-/// The server's view of its client population.
+/// The server's view of its client population. It has one representation;
+/// the single-variant wrapper and its method signatures (the `dim` of
+/// [`ClientPool::user_embeddings`] included) stay because the benchmark
+/// harness under `perfbench/`, which changes only with the benchmark
+/// itself, spells out `ClientPool::Lazy(LazyClientPool::new(..))`, `len`,
+/// `run_selected`, `user_embeddings(dim)` and `benign_ids`.
 pub enum ClientPool {
-    /// Every client is a live boxed object (the original representation).
-    Eager(Vec<Box<dyn Client>>),
     /// Benign clients materialize per round from an embedding arena.
     Lazy(LazyClientPool),
 }
@@ -61,6 +57,17 @@ pub struct LazyClientPool {
     /// Materialized clients above the benign range — the attacker cohort.
     /// Ids must be dense in `n_benign..n_benign + boxed.len()`.
     boxed: Vec<Box<dyn Client>>,
+}
+
+/// Checkpointed mutable state of one arena-resident benign user.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct BenignClientState {
+    user_embedding: Vec<f32>,
+    /// The user's [`LocalRegularizer`] state tree (`Null` when no defense
+    /// is installed, the defense is stateless, or the user has not been
+    /// sampled yet).
+    #[serde(default)]
+    regularizer: serde::Value,
 }
 
 /// A round participant: either a benign client materialized from the arena
@@ -115,28 +122,13 @@ impl LazyClientPool {
             reg,
         )
     }
-
-    /// The regularizer state a checkpoint records for user `u`: the live
-    /// state when one exists, otherwise a factory-fresh one — exactly what
-    /// an eager never-sampled client would serialize.
-    fn reg_state(&self, u: usize) -> serde::Value {
-        match self.regs.get(&u) {
-            Some(reg) => reg.checkpoint_state(),
-            None => match &self.reg_factory {
-                Some(f) => f(u).checkpoint_state(),
-                None => serde::Value::Null,
-            },
-        }
-    }
 }
 
 impl ClientPool {
     /// Total number of registered clients.
     pub fn len(&self) -> usize {
-        match self {
-            Self::Eager(clients) => clients.len(),
-            Self::Lazy(pool) => pool.n_benign + pool.boxed.len(),
-        }
+        let Self::Lazy(pool) = self;
+        pool.n_benign + pool.boxed.len()
     }
 
     /// True when the pool holds no clients at all.
@@ -147,104 +139,60 @@ impl ClientPool {
     /// Panics unless client ids are unique and dense in `0..len()` (the
     /// invariant the whole sampling/aggregation path relies on).
     pub fn assert_dense_ids(&self) {
-        match self {
-            Self::Eager(clients) => {
-                let mut ids: Vec<usize> = clients.iter().map(|c| c.id()).collect();
-                ids.sort_unstable();
-                for (expect, &got) in ids.iter().enumerate() {
-                    assert_eq!(expect, got, "client ids must be dense 0..n");
-                }
-            }
-            Self::Lazy(pool) => {
-                for (offset, client) in pool.boxed.iter().enumerate() {
-                    assert_eq!(
-                        pool.n_benign + offset,
-                        client.id(),
-                        "client ids must be dense 0..n (boxed clients start at n_benign)"
-                    );
-                }
-            }
+        let Self::Lazy(pool) = self;
+        for (offset, client) in pool.boxed.iter().enumerate() {
+            assert_eq!(
+                pool.n_benign + offset,
+                client.id(),
+                "client ids must be dense 0..n (boxed clients start at n_benign)"
+            );
         }
     }
 
     /// Ids of benign clients (the evaluation population `Ū`).
     pub fn benign_ids(&self) -> Vec<usize> {
-        match self {
-            Self::Eager(clients) => clients
-                .iter()
-                .filter(|c| !c.is_malicious())
-                .map(|c| c.id())
-                .collect(),
-            Self::Lazy(pool) => (0..pool.n_benign)
-                .chain(
-                    pool.boxed
-                        .iter()
-                        .filter(|c| !c.is_malicious())
-                        .map(|c| c.id()),
-                )
-                .collect(),
-        }
+        let Self::Lazy(pool) = self;
+        (0..pool.n_benign)
+            .chain(
+                pool.boxed
+                    .iter()
+                    .filter(|c| !c.is_malicious())
+                    .map(|c| c.id()),
+            )
+            .collect()
     }
 
     /// Ids of attacker-controlled clients (`Ũ`).
     pub fn malicious_ids(&self) -> Vec<usize> {
-        match self {
-            Self::Eager(clients) => clients
-                .iter()
-                .filter(|c| c.is_malicious())
-                .map(|c| c.id())
-                .collect(),
-            Self::Lazy(pool) => pool
-                .boxed
-                .iter()
-                .filter(|c| c.is_malicious())
-                .map(|c| c.id())
-                .collect(),
-        }
+        let Self::Lazy(pool) = self;
+        pool.boxed
+            .iter()
+            .filter(|c| c.is_malicious())
+            .map(|c| c.id())
+            .collect()
     }
 
     /// How many of the given (sorted) selected ids are attacker-controlled.
     pub fn count_malicious(&self, selected: &[usize]) -> usize {
-        match self {
-            Self::Eager(clients) => {
-                let mal: std::collections::HashSet<usize> = clients
-                    .iter()
-                    .filter(|c| c.is_malicious())
-                    .map(|c| c.id())
-                    .collect();
-                selected.iter().filter(|id| mal.contains(id)).count()
-            }
-            Self::Lazy(pool) => selected
-                .iter()
-                .filter(|&&id| id >= pool.n_benign && pool.boxed[id - pool.n_benign].is_malicious())
-                .count(),
-        }
+        let Self::Lazy(pool) = self;
+        selected
+            .iter()
+            .filter(|&&id| id >= pool.n_benign && pool.boxed[id - pool.n_benign].is_malicious())
+            .count()
     }
 
-    /// Dense per-client-id embedding table for metric evaluation. Clients
-    /// without a personal embedding (malicious) get zero rows — metrics
-    /// only ever index benign ids.
-    pub fn user_embeddings(&self, dim: usize) -> EmbeddingStore {
-        match self {
-            Self::Eager(clients) => {
-                let mut out = EmbeddingStore::zeros(clients.len(), dim);
-                for c in clients {
-                    if let Some(emb) = c.user_embedding() {
-                        out.row_mut(c.id()).copy_from_slice(emb);
-                    }
-                }
-                out
-            }
-            // The arena *is* the table (boxed rows stay zero); clones
-            // materialize to the heap.
-            Self::Lazy(pool) => pool.arena.clone(),
-        }
+    /// Dense per-client-id embedding table for metric evaluation. The arena
+    /// *is* the table: boxed (attacker) rows stay zero, and metrics only
+    /// ever index benign ids. Clones materialize to the heap.
+    pub fn user_embeddings(&self, _dim: usize) -> EmbeddingStore {
+        let Self::Lazy(pool) = self;
+        pool.arena.clone()
     }
 
     /// Runs `local_round` for the selected (sorted, deduplicated) client
     /// ids, fanning out over `width` threads, and returns the id-tagged
-    /// uploads in selection order. Lazy pools materialize benign clients
-    /// here and retire their state back to the arena before returning.
+    /// uploads in selection order. Benign clients materialize here and
+    /// retire their state back to the arena before returning.
     pub fn run_selected(
         &mut self,
         selected_sorted: &[usize],
@@ -252,136 +200,109 @@ impl ClientPool {
         ctx: &RoundContext,
         model: &GlobalModel,
     ) -> Vec<(usize, GlobalGradients)> {
-        match self {
-            Self::Eager(clients) => {
-                // Pull disjoint mutable references to the sampled clients.
-                let mut flags = vec![false; clients.len()];
-                for &i in selected_sorted {
-                    flags[i] = true;
-                }
-                let participants: Vec<&mut Box<dyn Client>> = clients
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| flags[*i])
-                    .map(|(_, c)| c)
-                    .collect();
-                pool::map_ordered(participants, width, |c| (c.id(), c.local_round(ctx, model)))
-            }
-            Self::Lazy(lazy) => {
-                // Benign ids sit below the boxed range, so after the sort
-                // all Owned participants precede all Borrowed ones.
-                let n_benign = lazy.n_benign;
-                let mut participants: Vec<Participant> = Vec::with_capacity(selected_sorted.len());
-                for &id in selected_sorted.iter().filter(|&&id| id < n_benign) {
-                    participants.push(Participant::Owned(lazy.materialize(id)));
-                }
-                let mut flags = vec![false; lazy.boxed.len()];
-                for &id in selected_sorted.iter().filter(|&&id| id >= n_benign) {
-                    flags[id - n_benign] = true;
-                }
-                participants.extend(
-                    lazy.boxed
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(i, _)| flags[*i])
-                        .map(|(_, c)| Participant::Borrowed(c)),
-                );
-
-                let results = pool::map_ordered(participants, width, |p| match p {
-                    Participant::Owned(mut c) => {
-                        let grads = c.local_round(ctx, model);
-                        let id = c.id();
-                        (id, grads, Some(c))
-                    }
-                    Participant::Borrowed(c) => (c.id(), c.local_round(ctx, model), None),
-                });
-
-                let mut uploads = Vec::with_capacity(results.len());
-                for (id, grads, owned) in results {
-                    if let Some(client) = owned {
-                        let (embedding, reg) = client.into_parts();
-                        lazy.arena.row_mut(id).copy_from_slice(&embedding);
-                        if let Some(reg) = reg {
-                            lazy.regs.insert(id, reg);
-                        }
-                    }
-                    uploads.push((id, grads));
-                }
-                uploads
-            }
+        let Self::Lazy(lazy) = self;
+        // Benign ids sit below the boxed range, so after the sort all Owned
+        // participants precede all Borrowed ones.
+        let n_benign = lazy.n_benign;
+        let mut participants: Vec<Participant> = Vec::with_capacity(selected_sorted.len());
+        for &id in selected_sorted.iter().filter(|&&id| id < n_benign) {
+            participants.push(Participant::Owned(lazy.materialize(id)));
         }
+        let mut flags = vec![false; lazy.boxed.len()];
+        for &id in selected_sorted.iter().filter(|&&id| id >= n_benign) {
+            flags[id - n_benign] = true;
+        }
+        participants.extend(
+            lazy.boxed
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| flags[*i])
+                .map(|(_, c)| Participant::Borrowed(c)),
+        );
+
+        let results = pool::map_ordered(participants, width, |p| match p {
+            Participant::Owned(mut c) => {
+                let grads = c.local_round(ctx, model);
+                let id = c.id();
+                (id, grads, Some(c))
+            }
+            Participant::Borrowed(c) => (c.id(), c.local_round(ctx, model), None),
+        });
+
+        let mut uploads = Vec::with_capacity(results.len());
+        for (id, grads, owned) in results {
+            if let Some(client) = owned {
+                let (embedding, reg) = client.into_parts();
+                lazy.arena.row_mut(id).copy_from_slice(&embedding);
+                if let Some(reg) = reg {
+                    lazy.regs.insert(id, reg);
+                }
+            }
+            uploads.push((id, grads));
+        }
+        uploads
     }
 
-    /// Per-client checkpoint states, dense by id. Lazy pools emit the same
-    /// `BenignClientState` shape eager `BenignClient`s serialize, so the
-    /// two populations' checkpoints are interchangeable.
+    /// Per-client checkpoint states, dense by id: a `BenignClientState` for
+    /// every arena user, then each boxed client's own state. A user never
+    /// sampled so far records a `Null` regularizer ("fresh").
     pub fn checkpoint_states(&self) -> Vec<serde::Value> {
-        match self {
-            Self::Eager(clients) => clients.iter().map(|c| c.checkpoint_state()).collect(),
-            Self::Lazy(pool) => {
-                let mut out = Vec::with_capacity(self.len());
-                for u in 0..pool.n_benign {
-                    let state = BenignClientState {
-                        user_embedding: pool.arena.row(u).to_vec(),
-                        regularizer: pool.reg_state(u),
-                    };
-                    out.push(serde::Serialize::to_value(&state));
-                }
-                out.extend(pool.boxed.iter().map(|c| c.checkpoint_state()));
-                out
-            }
+        let Self::Lazy(pool) = self;
+        let mut out = Vec::with_capacity(self.len());
+        for u in 0..pool.n_benign {
+            let state = BenignClientState {
+                user_embedding: pool.arena.row(u).to_vec(),
+                regularizer: pool
+                    .regs
+                    .get(&u)
+                    .map_or(serde::Value::Null, |reg| reg.checkpoint_state()),
+            };
+            out.push(serde::Serialize::to_value(&state));
         }
+        out.extend(pool.boxed.iter().map(|c| c.checkpoint_state()));
+        out
     }
 
     /// Overlays per-client checkpoint states captured by
     /// [`ClientPool::checkpoint_states`] (caller has already validated the
     /// count).
     pub fn restore_states(&mut self, states: &[serde::Value]) -> Result<(), String> {
-        match self {
-            Self::Eager(clients) => {
-                for (client, state) in clients.iter_mut().zip(states) {
-                    client.restore_state(state)?;
-                }
-                Ok(())
+        let Self::Lazy(pool) = self;
+        let dim = pool.arena.cols();
+        for (u, state) in states.iter().take(pool.n_benign).enumerate() {
+            let state: BenignClientState =
+                serde::Deserialize::from_value(state).map_err(|e| e.to_string())?;
+            if state.user_embedding.len() != dim {
+                return Err(format!(
+                    "user {u} embedding dim mismatch: checkpoint {}, simulation {dim}",
+                    state.user_embedding.len()
+                ));
             }
-            Self::Lazy(pool) => {
-                let dim = pool.arena.cols();
-                for (u, state) in states.iter().take(pool.n_benign).enumerate() {
-                    let state: BenignClientState =
-                        serde::Deserialize::from_value(state).map_err(|e| e.to_string())?;
-                    if state.user_embedding.len() != dim {
-                        return Err(format!(
-                            "user {u} embedding dim mismatch: checkpoint {}, simulation {dim}",
-                            state.user_embedding.len()
-                        ));
-                    }
-                    pool.arena.row_mut(u).copy_from_slice(&state.user_embedding);
-                    match (&pool.reg_factory, &state.regularizer) {
-                        // A null regularizer state means "fresh" — drop any
-                        // live one and let the next sampling rebuild it,
-                        // keeping never-sampled users unmaterialized.
-                        (_, v) if v.is_null() => {
-                            pool.regs.remove(&u);
-                        }
-                        (Some(factory), v) => {
-                            let mut reg = factory(u);
-                            reg.restore_state(v)?;
-                            pool.regs.insert(u, reg);
-                        }
-                        (None, v) => {
-                            return Err(format!(
-                                "user {u} has no regularizer but checkpoint carries {}",
-                                v.kind()
-                            ));
-                        }
-                    }
+            pool.arena.row_mut(u).copy_from_slice(&state.user_embedding);
+            match (&pool.reg_factory, &state.regularizer) {
+                // A null regularizer state means "fresh" — drop any live one
+                // and let the next sampling rebuild it, keeping never-sampled
+                // users unmaterialized.
+                (_, v) if v.is_null() => {
+                    pool.regs.remove(&u);
                 }
-                for (client, state) in pool.boxed.iter_mut().zip(&states[pool.n_benign..]) {
-                    client.restore_state(state)?;
+                (Some(factory), v) => {
+                    let mut reg = factory(u);
+                    reg.restore_state(v)?;
+                    pool.regs.insert(u, reg);
                 }
-                Ok(())
+                (None, v) => {
+                    return Err(format!(
+                        "user {u} has no regularizer but checkpoint carries {}",
+                        v.kind()
+                    ));
+                }
             }
         }
+        for (client, state) in pool.boxed.iter_mut().zip(&states[pool.n_benign..]) {
+            client.restore_state(state)?;
+        }
+        Ok(())
     }
 }
 
@@ -415,7 +336,7 @@ mod tests {
             let eager = BenignClient::new(u, Arc::clone(&train), 8, 0.1, 40 + u as u64);
             assert_eq!(
                 table.row(u),
-                eager.user_embedding().unwrap(),
+                eager.user_embedding(),
                 "user {u} init differs"
             );
         }

@@ -10,10 +10,9 @@ use rand::Rng;
 use crate::aggregate::{Aggregator, SumAggregator};
 use crate::budget::CoreLease;
 use crate::checkpoint::{SimulationCheckpoint, CHECKPOINT_FORMAT_VERSION};
-use crate::client::Client;
 use crate::config::{FederationConfig, RoundThreads};
 use crate::context::RoundContext;
-use crate::population::ClientPool;
+use crate::population::{ClientPool, LazyClientPool};
 use crate::stats::{RoundStats, TrainingStats};
 use crate::wire;
 
@@ -21,8 +20,8 @@ use crate::wire;
 /// + aggregation rule. Assembled through [`SimulationBuilder`]:
 ///
 /// ```ignore
-/// let sim = Simulation::builder(model)
-///     .clients(clients)
+/// let pool = LazyClientPool::new(n_users, train, dim, 0.1, |u| seed + u as u64, None, attackers);
+/// let sim = Simulation::builder(model, pool)
 ///     .aggregator(Box::new(SumAggregator))
 ///     .config(FederationConfig::default())
 ///     .build();
@@ -40,10 +39,9 @@ pub struct Simulation {
     lease: Option<CoreLease>,
 }
 
-/// Step-by-step assembly of a [`Simulation`], replacing the old positional
-/// four-argument constructor. The aggregator defaults to a plain
-/// [`SumAggregator`] (no defense) and the configuration to
-/// [`FederationConfig::default`]; the model and clients must be provided.
+/// Step-by-step assembly of a [`Simulation`] around a model and its client
+/// population. The aggregator defaults to a plain [`SumAggregator`] (no
+/// defense) and the configuration to [`FederationConfig::default`].
 pub struct SimulationBuilder {
     model: GlobalModel,
     pool: ClientPool,
@@ -53,28 +51,6 @@ pub struct SimulationBuilder {
 }
 
 impl SimulationBuilder {
-    /// Replaces the whole client population with eagerly boxed clients.
-    pub fn clients(mut self, clients: Vec<Box<dyn Client>>) -> Self {
-        self.pool = ClientPool::Eager(clients);
-        self
-    }
-
-    /// Replaces the whole client population (eager or lazy — the
-    /// million-client path hands a [`ClientPool::Lazy`] here).
-    pub fn pool(mut self, pool: ClientPool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Appends one client to an eager population.
-    pub fn client(mut self, client: impl Client + 'static) -> Self {
-        match &mut self.pool {
-            ClientPool::Eager(clients) => clients.push(Box::new(client)),
-            ClientPool::Lazy(_) => panic!("client() cannot extend a lazy pool"),
-        }
-        self
-    }
-
     /// Sets the aggregation rule (the defense hook).
     pub fn aggregator(mut self, aggregator: Box<dyn Aggregator>) -> Self {
         self.aggregator = aggregator;
@@ -97,9 +73,9 @@ impl SimulationBuilder {
         self
     }
 
-    /// Validates and assembles the simulation. Client ids must be unique and
-    /// dense in `0..clients.len()` (benign clients use their user id;
-    /// malicious clients take the ids above the benign range).
+    /// Validates and assembles the simulation. Client ids must be dense:
+    /// benign users are `0..n_benign` and the pool's boxed clients must
+    /// take the ids directly above them, in order.
     pub fn build(self) -> Simulation {
         let SimulationBuilder {
             model,
@@ -125,11 +101,12 @@ impl SimulationBuilder {
 }
 
 impl Simulation {
-    /// Starts building a simulation around a global model.
-    pub fn builder(model: GlobalModel) -> SimulationBuilder {
+    /// Starts building a simulation around a global model and its client
+    /// population.
+    pub fn builder(model: GlobalModel, pool: LazyClientPool) -> SimulationBuilder {
         SimulationBuilder {
             model,
-            pool: ClientPool::Eager(Vec::new()),
+            pool: ClientPool::Lazy(pool),
             aggregator: Box::new(SumAggregator),
             config: FederationConfig::default(),
             lease: None,
@@ -189,10 +166,9 @@ impl Simulation {
         self.pool.malicious_ids()
     }
 
-    /// Dense per-client-id embedding table for metric evaluation. Clients
-    /// without a personal embedding (malicious) get zero rows — metrics
-    /// only ever index benign ids. For lazy pools this reads straight out
-    /// of the embedding arena.
+    /// Dense per-client-id embedding table for metric evaluation, read
+    /// straight out of the embedding arena. Boxed (attacker) clients get
+    /// zero rows — metrics only ever index benign ids.
     pub fn user_embeddings(&self) -> EmbeddingStore {
         self.pool.user_embeddings(self.model.dim())
     }
@@ -364,7 +340,7 @@ pub fn sample_clients<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<u
 mod tests {
     use super::*;
     use crate::budget::CoreBudget;
-    use crate::client::BenignClient;
+    use crate::client::Client;
     use crate::config::ClientsPerRound;
     use crate::population::LazyClientPool;
     use frs_data::{leave_one_out, synth, DatasetSpec};
@@ -374,17 +350,16 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    /// The single client-population construction path every test goes
-    /// through (this used to be two copy-pasted eager `(0..n_users)` loops):
-    /// benign users live in the lazy arena pool; boxed clients sit above.
+    /// The client-population construction every test goes through:
+    /// benign users live in the arena; boxed clients sit above them.
     fn lazy_pool(
         n_benign: usize,
         train: &Arc<frs_data::Dataset>,
         dim: usize,
         seed: u64,
         boxed: Vec<Box<dyn Client>>,
-    ) -> ClientPool {
-        ClientPool::Lazy(LazyClientPool::new(
+    ) -> LazyClientPool {
+        LazyClientPool::new(
             n_benign,
             Arc::clone(train),
             dim,
@@ -392,7 +367,7 @@ mod tests {
             move |u| seed + u as u64,
             None,
             boxed,
-        ))
+        )
     }
 
     fn build_sim(
@@ -411,10 +386,12 @@ mod tests {
             ..FederationConfig::default()
         };
         (
-            Simulation::builder(model)
-                .pool(lazy_pool(train.n_users(), &train, 8, seed, Vec::new()))
-                .config(config)
-                .build(),
+            Simulation::builder(
+                model,
+                lazy_pool(train.n_users(), &train, 8, seed, Vec::new()),
+            )
+            .config(config)
+            .build(),
             train,
             split,
         )
@@ -514,60 +491,6 @@ mod tests {
         assert_eq!(b.effective_round_width(32), 8);
     }
 
-    /// The load-bearing refactor invariant: a lazily-materialized arena
-    /// population is **bit-identical** to the original eager one — same
-    /// models, same embeddings, interchangeable checkpoints.
-    #[test]
-    fn lazy_pool_matches_eager_pool_bit_for_bit() {
-        let seed = 17;
-        let build_eager = || {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let full = synth::generate(&DatasetSpec::tiny(), &mut rng);
-            let split = leave_one_out(&full, &mut rng);
-            let train = Arc::new(split.train.clone());
-            let model = GlobalModel::new(&ModelConfig::mf(8), train.n_items(), &mut rng);
-            let clients: Vec<Box<dyn Client>> = (0..train.n_users())
-                .map(|u| {
-                    Box::new(BenignClient::new(
-                        u,
-                        Arc::clone(&train),
-                        8,
-                        0.1,
-                        seed + u as u64,
-                    )) as Box<dyn Client>
-                })
-                .collect();
-            Simulation::builder(model)
-                .clients(clients)
-                .config(FederationConfig {
-                    clients_per_round: ClientsPerRound::Count(32),
-                    seed,
-                    ..FederationConfig::default()
-                })
-                .build()
-        };
-
-        let mut eager = build_eager();
-        let (mut lazy, _, _) = build_sim(RoundThreads::Fixed(1), seed);
-        assert_eq!(eager.user_embeddings(), lazy.user_embeddings(), "init");
-
-        eager.run(6);
-        lazy.run(6);
-        assert_eq!(eager.model().items(), lazy.model().items());
-        assert_eq!(eager.user_embeddings(), lazy.user_embeddings());
-
-        // Checkpoints are interchangeable: eager state restores onto a lazy
-        // population and continues identically.
-        let json = serde_json::to_string(&eager.capture_checkpoint()).unwrap();
-        let ckpt: SimulationCheckpoint = serde_json::from_str(&json).unwrap();
-        let (mut resumed, _, _) = build_sim(RoundThreads::Fixed(1), seed);
-        resumed.restore_checkpoint(&ckpt).unwrap();
-        resumed.run(4);
-        eager.run(4);
-        assert_eq!(eager.model().items(), resumed.model().items());
-        assert_eq!(eager.user_embeddings(), resumed.user_embeddings());
-    }
-
     #[test]
     fn fractional_sampling_scales_with_population() {
         let (mut sim, train, _) = build_sim(RoundThreads::Fixed(1), 12);
@@ -575,10 +498,12 @@ mod tests {
         let mut cfg = sim.config().clone();
         cfg.clients_per_round = ClientsPerRound::Fraction(0.5);
         // Rebuild with the fractional width (configs are build-time).
-        let mut frac = Simulation::builder(sim.model_mut().clone())
-            .pool(lazy_pool(n, &train, 8, 12, Vec::new()))
-            .config(cfg)
-            .build();
+        let mut frac = Simulation::builder(
+            sim.model_mut().clone(),
+            lazy_pool(n, &train, 8, 12, Vec::new()),
+        )
+        .config(cfg)
+        .build();
         let stats = frac.run_round();
         assert_eq!(stats.n_selected, ((n as f64) * 0.5).round() as usize);
     }
@@ -629,8 +554,7 @@ mod tests {
                 .collect();
             // Same pool path as build_sim: zero arena users, boxed clients
             // occupy the whole id range.
-            let mut sim = Simulation::builder(model)
-                .pool(lazy_pool(0, &train, 4, 9, exploding))
+            let mut sim = Simulation::builder(model, lazy_pool(0, &train, 4, 9, exploding))
                 .config(FederationConfig {
                     clients_per_round: ClientsPerRound::Count(8),
                     round_threads,
@@ -703,8 +627,7 @@ mod tests {
         };
         for shards in [1usize, 4] {
             let model = GlobalModel::new(&ModelConfig::mf(4), n_items, &mut rng);
-            let mut sim = Simulation::builder(model)
-                .pool(lazy_pool(n_users, &train, 4, 14, crafted()))
+            let mut sim = Simulation::builder(model, lazy_pool(n_users, &train, 4, 14, crafted()))
                 .aggregator(Box::new(crate::ShardedAggregator::new(
                     Box::new(SumAggregator),
                     shards,
@@ -725,24 +648,6 @@ mod tests {
             let items = sim.model().items().as_slice();
             assert!(items.iter().all(|v| v.is_finite()), "shards={shards}");
         }
-    }
-
-    #[test]
-    fn builder_defaults_and_incremental_clients() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let full = synth::generate(&DatasetSpec::tiny(), &mut rng);
-        let train = Arc::new(full);
-        let model = GlobalModel::new(&ModelConfig::mf(4), train.n_items(), &mut rng);
-        let mut builder = Simulation::builder(model);
-        for u in 0..3 {
-            builder = builder.client(BenignClient::new(u, Arc::clone(&train), 4, 0.1, u as u64));
-        }
-        let sim = builder.build();
-        assert_eq!(sim.n_clients(), 3);
-        assert_eq!(
-            sim.config().clients_per_round,
-            FederationConfig::default().clients_per_round
-        );
     }
 
     #[test]
@@ -798,8 +703,8 @@ mod tests {
         let full = synth::generate(&DatasetSpec::tiny(), &mut rng);
         let train = Arc::new(full);
         let model = GlobalModel::new(&ModelConfig::mf(4), train.n_items(), &mut rng);
-        // Single client with id 5 — not dense.
-        let clients: Vec<Box<dyn Client>> = vec![Box::new(BenignClient::new(5, train, 4, 0.1, 0))];
-        Simulation::builder(model).clients(clients).build();
+        // Three arena users, then a boxed client numbered 5 instead of 3.
+        let misnumbered: Vec<Box<dyn Client>> = vec![Box::new(ExplodingClient { id: 5 })];
+        Simulation::builder(model, lazy_pool(3, &train, 4, 0, misnumbered)).build();
     }
 }

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use pieck_frs::data::{leave_one_out, synth, DatasetSpec};
-use pieck_frs::federation::{BenignClient, Client, ClientsPerRound, FederationConfig, Simulation};
+use pieck_frs::federation::{ClientsPerRound, FederationConfig, LazyClientPool, Simulation};
 use pieck_frs::metrics::QualityReport;
 use pieck_frs::model::{GlobalModel, ModelConfig};
 use rand::rngs::StdRng;
@@ -28,30 +28,26 @@ fn main() {
     let split = leave_one_out(&full, &mut rng);
     let train = Arc::new(split.train.clone());
 
-    // 3. One federated client per user; the global model is the shared
-    //    item-embedding table.
+    // 3. One federated client per user, each with a private 16-dim
+    //    embedding seeded from its id (no attackers); the global model is
+    //    the shared item-embedding table.
     let model = GlobalModel::new(&ModelConfig::mf(16), train.n_items(), &mut rng);
-    let clients: Vec<Box<dyn Client>> = (0..train.n_users())
-        .map(|u| {
-            Box::new(BenignClient::new(
-                u,
-                Arc::clone(&train),
-                16,
-                0.1,
-                42 + u as u64,
-            )) as Box<dyn Client>
-        })
-        .collect();
+    let clients = LazyClientPool::new(
+        train.n_users(),
+        Arc::clone(&train),
+        16,
+        0.1,
+        |u| 42 + u as u64,
+        None,
+        Vec::new(),
+    );
     let config = FederationConfig {
         clients_per_round: ClientsPerRound::Count(64),
         seed: 42,
         ..Default::default()
     };
     // The builder defaults to plain-sum aggregation (no defense).
-    let mut sim = Simulation::builder(model)
-        .clients(clients)
-        .config(config)
-        .build();
+    let mut sim = Simulation::builder(model, clients).config(config).build();
 
     // 4. Train for 150 communication rounds, reporting HR@10 as we go.
     let benign = sim.benign_ids();

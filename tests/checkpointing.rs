@@ -13,6 +13,8 @@
 
 use pieck_frs::attacks::AttackKind;
 use pieck_frs::defense::DefenseKind;
+use std::sync::Arc;
+
 use pieck_frs::experiments::cache::{scenario_key, SuiteCache};
 use pieck_frs::experiments::scenario::{self, CheckpointCtl, ScenarioOutcome};
 use pieck_frs::experiments::shutdown;
@@ -74,11 +76,40 @@ fn kill_after(cfg: &ScenarioConfig, ctl: &CheckpointCtl<'_>, rounds: usize) {
     shutdown::reset();
 }
 
+/// Checks the per-user defense state in a checkpoint against `initial`, the
+/// benign users' states before any round: a user whose embedding is still
+/// the initial draw was never sampled and carries a `Null` ("fresh")
+/// regularizer, while every trained user carries its miner's state.
+/// Returns how many users were never sampled.
+fn unsampled_users_carry_null(initial: &[serde_json::Value], ckpt: &[serde_json::Value]) -> usize {
+    let field = |state: &serde_json::Value, key: &str| {
+        state.as_object().expect("benign state is an object")[key].clone()
+    };
+    let mut unsampled = 0;
+    for (u, (before, now)) in initial.iter().zip(ckpt).enumerate() {
+        let regularizer = field(now, "regularizer");
+        if field(before, "user_embedding") == field(now, "user_embedding") {
+            assert!(
+                regularizer.is_null(),
+                "never-sampled user {u}: {regularizer:?}"
+            );
+            unsampled += 1;
+        } else {
+            assert!(
+                !regularizer.is_null(),
+                "trained user {u} lost its defense state"
+            );
+        }
+    }
+    unsampled
+}
+
 /// The exhaustive grid: every interval × kill-round pair over the paper's
 /// own attack/defense (stateful on both sides). The resumed outcome —
 /// metrics, targets, upload accounting, and the trend including points
 /// sampled *before* the kill — matches the uninterrupted run exactly, and
-/// completion always retires the checkpoint sidecar.
+/// completion always retires the checkpoint sidecar. Users not yet sampled
+/// at the cut checkpoint a `Null` regularizer and still resume identically.
 #[test]
 fn every_interval_by_kill_round_pair_resumes_identical() {
     let _guard = shutdown::test_lock();
@@ -86,6 +117,16 @@ fn every_interval_by_kill_round_pair_resumes_identical() {
     let cfg = attack_cfg(AttackKind::PieckIpe, DefenseKind::Ours, 10);
     let key = scenario_key(&cfg);
     let reference = scenario::run(&cfg);
+    let (_, split, targets) = scenario::build_world(&cfg);
+    let n_benign = split.train.n_users();
+    let initial = scenario::build_simulation(&cfg, Arc::new(split.train), &targets)
+        .capture_checkpoint()
+        .clients;
+    let initial = &initial[..n_benign];
+    assert!(initial
+        .iter()
+        .all(|s| s.as_object().unwrap()["regularizer"].is_null()));
+    let mut unsampled = 0;
 
     for interval in [1, 3, 5] {
         for kill_round in [1, 2, 5, 9] {
@@ -100,11 +141,15 @@ fn every_interval_by_kill_round_pair_resumes_identical() {
             // A hard kill at `kill_round` leaves the last periodic write.
             let persisted = kill_round / interval * interval;
             kill_after(&cfg, &ctl, persisted);
+            let on_disk = cache.load_checkpoint(&key);
             assert_eq!(
-                cache.load_checkpoint(&key).map(|c| c.sim.round),
+                on_disk.as_ref().map(|c| c.sim.round),
                 (persisted > 0).then_some(persisted),
                 "{what}: on-disk checkpoint round"
             );
+            if let Some(ckpt) = &on_disk {
+                unsampled += unsampled_users_carry_null(initial, &ckpt.sim.clients);
+            }
 
             let resumed = scenario::run_checkpointed(
                 &cfg,
@@ -125,6 +170,10 @@ fn every_interval_by_kill_round_pair_resumes_identical() {
             let _ = std::fs::remove_dir_all(cache.dir());
         }
     }
+    assert!(
+        unsampled > 0,
+        "some cut must precede a user's first sampling"
+    );
 }
 
 proptest! {

@@ -17,7 +17,8 @@ use pieck_frs::experiments::cache::scenario_key;
 use pieck_frs::experiments::scenario::{self, build_world, ScenarioConfig};
 use pieck_frs::experiments::{ExperimentSuite, RunOptions, Sweep};
 use pieck_frs::federation::{
-    BenignClient, Client, LocalRegularizer, RoundContext, Simulation, SumAggregator,
+    Client, LazyClientPool, LocalRegularizer, RegularizerFactory, RoundContext, Simulation,
+    SumAggregator,
 };
 use pieck_frs::metrics::{ExposureReport, QualityReport};
 use pieck_frs::model::{GlobalGradients, GlobalModel, ModelKind};
@@ -54,31 +55,29 @@ fn registry_built_ours_matches_the_old_special_case_exactly() {
         <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(cfg.federation.seed ^ 0x0DE1);
     let model = GlobalModel::new(&cfg.model, train.n_items(), &mut rng);
     let n_benign = train.n_users();
-    let mut clients: Vec<Box<dyn Client>> = Vec::new();
-    for u in 0..n_benign {
-        // MF defaults were DefenseConfig::default() with the scenario's
-        // mined N — the construction the deleted special case performed.
-        let def_cfg = DefenseConfig {
-            top_n: cfg.mined_top_n.max(1),
-            ..DefenseConfig::default()
-        };
-        let client = BenignClient::new(
-            u,
-            Arc::clone(&train),
-            cfg.model.embedding_dim,
-            cfg.model.init_scale,
-            cfg.federation.seed ^ ((u as u64) << 16) ^ 0xBE9,
-        )
-        .with_regularizer(Box::new(PieckDefense::new(def_cfg)));
-        clients.push(Box::new(client));
-    }
+    // MF defaults were DefenseConfig::default() with the scenario's mined
+    // N — the construction the deleted special case performed, one fresh
+    // regularizer per benign client.
+    let def_cfg = DefenseConfig {
+        top_n: cfg.mined_top_n.max(1),
+        ..DefenseConfig::default()
+    };
+    let regularizers: RegularizerFactory = Box::new(move |_user| -> Box<dyn LocalRegularizer> {
+        Box::new(PieckDefense::new(def_cfg.clone()))
+    });
     let n_mal = cfg.n_malicious(n_benign);
-    clients.extend(
+    let seed = cfg.federation.seed;
+    let clients = LazyClientPool::new(
+        n_benign,
+        Arc::clone(&train),
+        cfg.model.embedding_dim,
+        cfg.model.init_scale,
+        |u| seed ^ ((u as u64) << 16) ^ 0xBE9,
+        Some(regularizers),
         cfg.attack
             .build_clients(&cfg.attack_ctx(n_benign, n_mal, &targets)),
     );
-    let mut sim = Simulation::builder(model)
-        .clients(clients)
+    let mut sim = Simulation::builder(model, clients)
         .aggregator(Box::new(SumAggregator))
         .config(cfg.federation.clone())
         .build();

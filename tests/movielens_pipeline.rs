@@ -3,7 +3,9 @@
 //! attack — proving the library is not synthetic-data-only.
 
 use pieck_frs::data::{leave_one_out, load_movielens, LoadOptions};
-use pieck_frs::federation::{BenignClient, Client, ClientsPerRound, FederationConfig, Simulation};
+use pieck_frs::federation::{
+    Client, ClientsPerRound, FederationConfig, LazyClientPool, Simulation,
+};
 use pieck_frs::metrics::hit_ratio_at_k;
 use pieck_frs::model::{GlobalModel, ModelConfig};
 use pieck_frs::pieck::{PieckClient, PieckConfig};
@@ -52,31 +54,28 @@ fn movielens_file_to_attack_pipeline() {
     // Benign population from the real file + 3 PIECK-UEA sybils.
     let n_benign = train.n_users();
     let target = train.coldest_items(1)[0];
-    let mut clients: Vec<Box<dyn Client>> = (0..n_benign)
-        .map(|u| {
-            Box::new(BenignClient::new(
-                u,
-                Arc::clone(&train),
-                8,
-                0.1,
-                10 + u as u64,
-            )) as Box<dyn Client>
+    let sybils: Vec<Box<dyn Client>> = (0..3)
+        .map(|i| {
+            let mut cfg = PieckConfig::uea(vec![target]);
+            cfg.top_n = 10;
+            Box::new(PieckClient::new(n_benign + i, cfg)) as Box<dyn Client>
         })
         .collect();
-    for i in 0..3 {
-        let mut cfg = PieckConfig::uea(vec![target]);
-        cfg.top_n = 10;
-        clients.push(Box::new(PieckClient::new(n_benign + i, cfg)));
-    }
+    let clients = LazyClientPool::new(
+        n_benign,
+        Arc::clone(&train),
+        8,
+        0.1,
+        |u| 10 + u as u64,
+        None,
+        sybils,
+    );
     let config = FederationConfig {
         clients_per_round: ClientsPerRound::Count(24),
         seed: 2,
         ..Default::default()
     };
-    let mut sim = Simulation::builder(model)
-        .clients(clients)
-        .config(config)
-        .build();
+    let mut sim = Simulation::builder(model, clients).config(config).build();
     sim.run(60);
 
     // The pipeline produced a functioning recommender...
