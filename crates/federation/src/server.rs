@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn round_selects_expected_batch() {
-        let (mut sim, _, _) = build_sim(RoundThreads::Fixed(1), 1);
+        let (mut sim, train, _) = build_sim(RoundThreads::Fixed(1), 1);
         let stats = sim.run_round();
         assert_eq!(stats.n_selected, 32);
         assert_eq!(stats.n_malicious_selected, 0);
@@ -408,6 +408,16 @@ mod tests {
         assert_eq!(stats.n_threads, 1);
         assert_eq!(sim.rounds_done(), 1);
         assert_eq!(sim.stats().max_round_threads, 1);
+
+        // Without `.config(..)` the builder uses the default configuration.
+        let defaults =
+            Simulation::builder(sim.model().clone(), lazy_pool(3, &train, 8, 1, Vec::new()))
+                .build();
+        assert_eq!(defaults.n_clients(), 3);
+        assert_eq!(
+            defaults.config().clients_per_round,
+            FederationConfig::default().clients_per_round
+        );
     }
 
     #[test]
