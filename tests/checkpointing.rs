@@ -11,10 +11,10 @@
 //! checkpoint a SIGKILL at round `kill` with interval `N` would have left
 //! (`m = ⌊kill/N⌋·N`, the last periodic write).
 
-use pieck_frs::attacks::AttackKind;
-use pieck_frs::defense::DefenseKind;
 use std::sync::Arc;
 
+use pieck_frs::attacks::AttackKind;
+use pieck_frs::defense::DefenseKind;
 use pieck_frs::experiments::cache::{scenario_key, SuiteCache};
 use pieck_frs::experiments::scenario::{self, CheckpointCtl, ScenarioOutcome};
 use pieck_frs::experiments::shutdown;
